@@ -24,9 +24,10 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double median(std::span<const double> xs) {
-  FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
-  std::vector<double> buf(xs.begin(), xs.end());
+namespace {
+
+// Median of `buf`, reordering it.
+double median_in_place(std::span<double> buf) {
   const std::size_t mid = buf.size() / 2;
   std::nth_element(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(mid), buf.end());
   double hi = buf[mid];
@@ -35,12 +36,42 @@ double median(std::span<const double> xs) {
   return 0.5 * (lo + hi);
 }
 
-double mad(std::span<const double> xs) {
-  const double med = median(xs);
-  std::vector<double> dev(xs.size());
+}  // namespace
+
+double median(std::span<const double> xs, std::span<double> work) {
+  FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
+  FUNNEL_REQUIRE(work.size() >= xs.size(), "median work buffer too small");
+  const std::span<double> buf = work.first(xs.size());
+  std::copy(xs.begin(), xs.end(), buf.begin());
+  return median_in_place(buf);
+}
+
+double mad(std::span<const double> xs, double center,
+           std::span<double> work) {
+  FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
+  FUNNEL_REQUIRE(work.size() >= xs.size(), "median work buffer too small");
+  const std::span<double> dev = work.first(xs.size());
   std::transform(xs.begin(), xs.end(), dev.begin(),
-                 [med](double x) { return std::abs(x - med); });
-  return median(dev);
+                 [center](double x) { return std::abs(x - center); });
+  return median_in_place(dev);
+}
+
+double mad(std::span<const double> xs, std::span<double> work) {
+  return mad(xs, median(xs, work), work);
+}
+
+double mad_sigma(std::span<const double> xs, std::span<double> work) {
+  return 1.4826 * mad(xs, work);
+}
+
+double median(std::span<const double> xs) {
+  std::vector<double> work(xs.size());
+  return median(xs, work);
+}
+
+double mad(std::span<const double> xs) {
+  std::vector<double> work(xs.size());
+  return mad(xs, work);
 }
 
 double mad_sigma(std::span<const double> xs) { return 1.4826 * mad(xs); }

@@ -21,15 +21,25 @@ double variance(std::span<const double> xs);
 double stddev(std::span<const double> xs);
 
 /// Median (average of middle two for even n). Throws InvalidArgument on
-/// empty input. Copies the input; does not reorder the caller's data.
-double median(std::span<const double> xs);
+/// empty input. Does not reorder the caller's data: works on a copy in
+/// `work`, which must hold at least xs.size() doubles.
+double median(std::span<const double> xs, std::span<double> work);
 
 /// Median absolute deviation about the median: median(|x - median(x)|).
 /// Not scaled by the 1.4826 Gaussian consistency factor; callers that need
-/// a sigma estimate should use `mad_sigma`.
-double mad(std::span<const double> xs);
+/// a sigma estimate should use `mad_sigma`. `work` as for median().
+double mad(std::span<const double> xs, std::span<double> work);
+
+/// median(|x - center|): the MAD when `center` is median(xs), for callers
+/// that already hold the median. `work` as for median().
+double mad(std::span<const double> xs, double center, std::span<double> work);
 
 /// MAD scaled to be a consistent estimator of sigma for Gaussian data.
+double mad_sigma(std::span<const double> xs, std::span<double> work);
+
+/// Allocating forms of the three above.
+double median(std::span<const double> xs);
+double mad(std::span<const double> xs);
 double mad_sigma(std::span<const double> xs);
 
 /// Linear-interpolated quantile, q in [0, 1]. Throws on empty input.

@@ -38,17 +38,20 @@ CascadeCounters& CascadeCounters::operator+=(const CascadeCounters& o) {
 
 GateDecision gate_window(std::span<const double> window,
                          const SstGeometry& geometry,
-                         const CascadeConfig& config) {
+                         const CascadeConfig& config, WindowScratch& scratch) {
   FUNNEL_REQUIRE(window.size() == geometry.window(),
                  "gate_window size mismatch");
-  const std::vector<double> z = standardize_window(window, geometry.half());
-  if (z.empty()) return GateDecision::kDirty;
-  const std::span<const double> past(z.data(), geometry.half());
-  const std::span<const double> future(z.data() + geometry.half(),
-                                       geometry.half());
+  if (!standardize_window(window, geometry.half(), scratch.z, scratch.work)) {
+    return GateDecision::kDirty;
+  }
+  const std::span<const double> z(scratch.z);
+  const std::span<const double> past = z.subspan(0, geometry.half());
+  const std::span<const double> future =
+      z.subspan(geometry.half(), geometry.half());
   // Stage 0: the Eq. 11 factor upper-bounds the score (x̂ ≤ 1), so
   // factor ≤ threshold proves no exceedance is possible here.
-  if (robust_score_factor(past, future) <= config.sst_threshold) {
+  if (robust_score_factor(past, future, scratch.work) <=
+      config.sst_threshold) {
     return GateDecision::kVarianceSuppressed;
   }
   // Stage 1: raw max-CUSUM of the standardized future half (the past half
@@ -57,6 +60,13 @@ GateDecision gate_window(std::span<const double> window,
     return GateDecision::kCusumSuppressed;
   }
   return GateDecision::kScored;
+}
+
+GateDecision gate_window(std::span<const double> window,
+                         const SstGeometry& geometry,
+                         const CascadeConfig& config) {
+  WindowScratch scratch(geometry.window());
+  return gate_window(window, geometry, config, scratch);
 }
 
 std::vector<double> cascade_score_series(
@@ -80,9 +90,10 @@ std::vector<double> cascade_score_series(
     wow = wow_score_series(series, wp);
   }
 
+  WindowScratch scratch(w);
   for (std::size_t s = 0; s < n; ++s) {
     const std::span<const double> window = series.subspan(s, w);
-    GateDecision d = gate_window(window, scorer.geometry(), config);
+    GateDecision d = gate_window(window, scorer.geometry(), config, scratch);
     if (d != GateDecision::kScored && d != GateDecision::kDirty &&
         !wow.empty()) {
       const double wz = wow[s + w - 1];
@@ -140,10 +151,12 @@ CascadeGate::CascadeGate(std::unique_ptr<IkaSst> inner, CascadeConfig config,
                          CascadeCounters* counters)
     : inner_(std::move(inner)), config_(config), counters_(counters) {
   FUNNEL_REQUIRE(inner_ != nullptr, "CascadeGate needs a scorer");
+  scratch_ = WindowScratch(inner_->window_size());
 }
 
 double CascadeGate::score(std::span<const double> window) {
-  const GateDecision d = gate_window(window, inner_->geometry(), config_);
+  const GateDecision d =
+      gate_window(window, inner_->geometry(), config_, scratch_);
   last_decision_ = d;
   double score;
   switch (d) {

@@ -86,6 +86,13 @@ struct CascadeCounters {
 /// the decision for one window (never kForcedByWow/kScored distinction —
 /// it reports kScored whenever the gates pass). Cheap: standardization +
 /// two medians/MADs (+ one CUSUM pass for variance-gate survivors).
+/// `scratch` (sized for geometry.window()) holds the standardized window,
+/// so a caller that keeps one gates windows without heap allocation.
+GateDecision gate_window(std::span<const double> window,
+                         const SstGeometry& geometry,
+                         const CascadeConfig& config, WindowScratch& scratch);
+
+/// Allocating form of the above.
 GateDecision gate_window(std::span<const double> window,
                          const SstGeometry& geometry,
                          const CascadeConfig& config);
@@ -126,6 +133,7 @@ class CascadeGate final : public ChangeScorer {
  private:
   std::unique_ptr<IkaSst> inner_;
   CascadeConfig config_;
+  WindowScratch scratch_;
   CascadeCounters* counters_;  ///< optional, not owned
   GateDecision last_decision_ = GateDecision::kScored;
 };

@@ -29,7 +29,7 @@ struct RitzResidual {
 std::vector<linalg::Vector> batch_ritz(
     const std::vector<std::span<const double>>& halves,
     const std::vector<linalg::Matrix*>& bases, int iterations,
-    std::size_t omega, std::size_t eta,
+    std::size_t omega, std::size_t eta, internal::RitzWorkspace& ritz,
     std::vector<RitzResidual>* residuals = nullptr) {
   const std::size_t g_count = halves.size();
   std::vector<linalg::Vector> lambdas(g_count, linalg::Vector(eta, 0.0));
@@ -70,7 +70,7 @@ std::vector<linalg::Vector> batch_ritz(
     op.apply_block(x, y, eta, scratch);
     for (std::size_t g = 0; g < g_count; ++g) {
       unpack_lane(g);
-      lambdas[g] = internal::ritz_rotate(*bases[g], ylane);
+      internal::ritz_rotate(*bases[g], ylane, lambdas[g], ritz);
     }
   }
   // Ritz residual against the final bases — one more fused apply, fed
@@ -91,7 +91,10 @@ std::vector<linalg::Vector> batch_ritz(
 
 IkaSstBatch::IkaSstBatch(std::size_t kpis, SstGeometry geometry,
                          IkaParams params)
-    : geo_(geometry), params_(params), lanes_(kpis) {
+    : geo_(geometry),
+      params_(params),
+      lanes_(kpis),
+      ritz_(geometry.omega, geometry.eta) {
   FUNNEL_REQUIRE(kpis >= 1, "IkaSstBatch needs at least one lane");
   params_.warm_past = true;
   // Same invariants IkaSst enforces.
@@ -173,12 +176,12 @@ void IkaSstBatch::score_all(std::span<const double> windows,
       const auto half = future_half ? zl.subspan(geo_.half(), geo_.half())
                                     : zl.subspan(0, geo_.half());
       linalg::Matrix& basis = future_half ? st.future_basis : st.past_basis;
-      if (seed) internal::seed_basis(basis, half, geo_.omega, geo_.eta);
+      if (seed) internal::seed_basis(basis, half, geo_.omega, geo_.eta, ritz_);
       halves.push_back(half);
       bases.push_back(&basis);
     }
-    const auto lam =
-        batch_ritz(halves, bases, iters, geo_.omega, geo_.eta, residuals);
+    const auto lam = batch_ritz(halves, bases, iters, geo_.omega, geo_.eta,
+                                ritz_, residuals);
     for (std::size_t g = 0; g < group.size(); ++g) {
       (future_half ? lambdas : mus)[group[g]] = lam[g];
     }

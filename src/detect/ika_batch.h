@@ -53,6 +53,7 @@ class IkaSstBatch {
   SstGeometry geo_;
   IkaParams params_;
   std::vector<Lane> lanes_;
+  internal::RitzWorkspace ritz_;  ///< shared by every lane's Ritz steps
 };
 
 }  // namespace funnel::detect

@@ -5,11 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "detect/sst_internal.h"
-#include "linalg/hankel.h"
-#include "linalg/lanczos.h"
-#include "linalg/sym_eigen.h"
-#include "linalg/tridiag.h"
 
 namespace funnel::detect {
 namespace {
@@ -17,64 +12,95 @@ namespace {
 using internal::seed_basis;
 
 // One or more block power sweeps with Rayleigh-Ritz extraction:
-// B <- orth((C B) Q) with Q the eigenvectors of T = Bᵀ C B. Returns the
-// Ritz values (estimates of C's leading eigenvalues, non-increasing). The
-// C·B product runs through the batched Hankel kernel — bit-identical to
-// column-at-a-time applies, just one strided pass. When `residual2` is
-// non-null, one extra apply against the final basis fills it with the
-// squared Ritz residual (the warm-start escalation signal); the extra
-// apply never perturbs basis or lambdas.
+// B <- orth((C B) Q) with Q the eigenvectors of T = Bᵀ C B. Writes the Ritz
+// values (estimates of C's leading eigenvalues, non-increasing) into
+// `lambdas`. The C·B product runs through the batched Hankel kernel —
+// bit-identical to column-at-a-time applies, just one strided pass — into
+// `y`, with `block` as its scratch. When `residual` is non-null, one extra
+// apply against the final basis fills it with the squared Ritz residual
+// (the warm-start escalation signal); the extra apply never perturbs basis
+// or lambdas.
 struct RitzResidual {
   double res2 = 0.0;
   double scale = 0.0;  ///< leading Rayleigh quotient
 };
 
-linalg::Vector ritz_iterate(const linalg::HankelGramOperator& op,
-                            linalg::Matrix& basis, int iterations,
-                            RitzResidual* residual = nullptr) {
-  const std::size_t omega = basis.rows();
+void ritz_iterate(const linalg::HankelGramOperator& op, linalg::Matrix& basis,
+                  int iterations, linalg::Matrix& y, linalg::Vector& block,
+                  std::span<double> lambdas, internal::RitzWorkspace& ritz,
+                  RitzResidual* residual = nullptr) {
   const std::size_t eta = basis.cols();
-  linalg::Vector lambdas(eta, 0.0);
-  linalg::Vector scratch(op.count() * eta);
+  std::fill(lambdas.begin(), lambdas.end(), 0.0);
   for (int it = 0; it < iterations; ++it) {
-    linalg::Matrix y(omega, eta);
-    op.apply_block(basis.data(), y.data(), eta, scratch);
-    lambdas = internal::ritz_rotate(basis, y);
+    op.apply_block(basis.data(), y.data(), eta, block);
+    internal::ritz_rotate(basis, y, lambdas, ritz);
   }
   if (residual != nullptr) {
-    linalg::Matrix y(omega, eta);
-    op.apply_block(basis.data(), y.data(), eta, scratch);
+    op.apply_block(basis.data(), y.data(), eta, block);
     residual->res2 = internal::ritz_residual2(basis, y, residual->scale);
   }
-  return lambdas;
+}
+
+// Validated before the workspace is sized from it.
+const SstGeometry& checked(const SstGeometry& geo, const IkaParams& params) {
+  FUNNEL_REQUIRE(geo.omega >= 2, "SST needs omega >= 2");
+  FUNNEL_REQUIRE(geo.eta >= 1 && geo.eta < geo.omega,
+                 "SST needs 1 <= eta < omega");
+  FUNNEL_REQUIRE(geo.krylov_k() <= geo.omega,
+                 "Krylov dimension k must not exceed omega");
+  FUNNEL_REQUIRE(params.cold_iterations >= 1 && params.warm_iterations >= 1,
+                 "iteration counts must be positive");
+  FUNNEL_REQUIRE(params.restart_period >= 1,
+                 "restart period must be positive");
+  return geo;
 }
 
 }  // namespace
 
-IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
-    : geo_(geometry), params_(params) {
-  FUNNEL_REQUIRE(geo_.omega >= 2, "SST needs omega >= 2");
-  FUNNEL_REQUIRE(geo_.eta >= 1 && geo_.eta < geo_.omega,
-                 "SST needs 1 <= eta < omega");
-  FUNNEL_REQUIRE(geo_.krylov_k() <= geo_.omega,
-                 "Krylov dimension k must not exceed omega");
-  FUNNEL_REQUIRE(params_.cold_iterations >= 1 && params_.warm_iterations >= 1,
-                 "iteration counts must be positive");
-  FUNNEL_REQUIRE(params_.restart_period >= 1,
-                 "restart period must be positive");
+IkaSst::Workspace::Workspace(const SstGeometry& geo)
+    : window(geo.window()),
+      past_op(linalg::Vector(geo.half(), 0.0), geo.omega, geo.omega),
+      future_op(linalg::Vector(geo.half(), 0.0), geo.omega, geo.omega),
+      y(geo.omega, geo.eta),
+      block(geo.omega * geo.eta),
+      lambdas(geo.eta),
+      mus(geo.eta),
+      ritz(geo.omega, geo.eta),
+      beta(geo.omega) {
+  // Lanczos may stop short of k steps on a low-rank window, so T_k's size
+  // varies; reserve for the largest so no later window grows a buffer.
+  const std::size_t k = geo.krylov_k();
+  lanczos.basis.resize(k, geo.omega);
+  lanczos.v.reserve(geo.omega);
+  lanczos.w.reserve(geo.omega);
+  lanczos.scratch.reserve(geo.omega);
+  tk.diag.reserve(k);
+  tk.subdiag.reserve(k);
+  ql.d.reserve(k);
+  ql.e.reserve(k);
+  ql.z.resize(k, k);
+  ql.order.reserve(k);
+  tk_eigen.values.reserve(k);
+  tk_eigen.vectors.resize(k, k);
 }
+
+IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
+    : geo_(checked(geometry, params)), params_(params), ws_(geo_) {}
 
 double IkaSst::score(std::span<const double> window) {
   FUNNEL_REQUIRE(window.size() == geo_.window(),
                  "IkaSst window size mismatch");
-  const std::vector<double> z = standardize_window(window, geo_.half());
-  if (z.empty()) return std::numeric_limits<double>::quiet_NaN();
+  Workspace& ws = ws_;
+  if (!standardize_window(window, geo_.half(), ws.window.z, ws.window.work)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
 
   const std::size_t omega = geo_.omega;
   const std::size_t eta = geo_.eta;
   const std::size_t k = geo_.krylov_k();
-  const std::span<const double> past(z.data(), geo_.half());
-  const std::span<const double> future(z.data() + geo_.half(), geo_.half());
+  const std::span<const double> z(ws.window.z);
+  const std::span<const double> past = z.subspan(0, geo_.half());
+  const std::span<const double> future = z.subspan(geo_.half(), geo_.half());
 
   // Deterministic cold restart (fast path only): rebuilding both bases from
   // scratch every restart_period scored windows keeps warm-start drift
@@ -91,34 +117,46 @@ double IkaSst::score(std::span<const double> window) {
   // gates the escalation check: when the factor is exactly zero the window
   // scores 0 regardless of basis quality (score = x̂ · factor), so warm
   // sweeps proceed without the residual apply and cannot contribute drift.
-  const double factor = robust_score_factor(past, future);
+  const double factor = robust_score_factor(past, future, ws.window.work);
 
   // --- Future: eta leading eigenpairs of A·Aᵀ by warm-started block power
   // iteration with Rayleigh-Ritz extraction. On the fast path, a warm
   // window whose Ritz residual shows the basis lost the subspace escalates
   // to a full cold re-seed — bit-identical to a cold restart at this
   // window, so drift is bounded per window, not just per restart period.
-  const linalg::HankelGramOperator future_op(future, omega, omega);
+  ws.future_op.set_window(future);
   const bool future_was_warm = warm_;
-  if (!warm_) seed_basis(future_basis_, future, omega, eta);
+  if (!warm_) seed_basis(future_basis_, future, omega, eta, ws.ritz);
   const bool check_future =
       params_.warm_past && future_was_warm && factor > 0.0;
   RitzResidual future_res;
-  linalg::Vector lambdas = ritz_iterate(
-      future_op, future_basis_,
-      future_was_warm ? params_.warm_iterations : params_.cold_iterations,
-      check_future ? &future_res : nullptr);
+  ritz_iterate(ws.future_op, future_basis_,
+               future_was_warm ? params_.warm_iterations
+                               : params_.cold_iterations,
+               ws.y, ws.block, ws.lambdas, ws.ritz,
+               check_future ? &future_res : nullptr);
   if (check_future &&
       internal::needs_escalation(future_res.res2, future_res.scale,
                                  params_.warm_residual_tol)) {
-    seed_basis(future_basis_, future, omega, eta);
-    lambdas = ritz_iterate(future_op, future_basis_, params_.cold_iterations);
+    seed_basis(future_basis_, future, omega, eta, ws.ritz);
+    ritz_iterate(ws.future_op, future_basis_, params_.cold_iterations, ws.y,
+                 ws.block, ws.lambdas, ws.ritz);
     ++escalations_;
   }
   warm_ = true;
 
+  // Exact zero-factor short-circuit (default path). The score is
+  // x̂ · factor with x̂ finite in [0, max(1, novelty_floor)], and the
+  // zero-weight branch below returns +0.0 as well, so a +0.0 factor scores
+  // +0.0 whatever the past subspace holds: the per-direction Lanczos + QL
+  // work is skipped. The future sweep above still ran, so the warm basis
+  // advances exactly as before. `==` (not `!(factor > 0)`) keeps a NaN
+  // factor on the full path. The fast path cannot skip: its past basis is
+  // warm state of its own.
+  if (!params_.warm_past && factor == 0.0) return 0.0;
+
   // --- Past: phi_i per future direction. ---
-  const linalg::HankelGramOperator past_op(past, omega, omega);
+  ws.past_op.set_window(past);
 
   double weighted = 0.0;
   double total_weight = 0.0;
@@ -129,31 +167,36 @@ double IkaSst::score(std::span<const double> window) {
     // approximate (Eq. 13), for one warm block sweep per window instead of
     // eta cold Krylov factorizations.
     const bool past_was_warm = past_warm_;
-    if (!past_warm_) seed_basis(past_basis_, past, omega, eta);
+    if (!past_warm_) seed_basis(past_basis_, past, omega, eta, ws.ritz);
     const bool check_past = past_was_warm && factor > 0.0;
     RitzResidual past_res;
-    linalg::Vector mus = ritz_iterate(
-        past_op, past_basis_,
-        past_was_warm ? params_.warm_iterations : params_.cold_iterations,
-        check_past ? &past_res : nullptr);
+    ritz_iterate(ws.past_op, past_basis_,
+                 past_was_warm ? params_.warm_iterations
+                               : params_.cold_iterations,
+                 ws.y, ws.block, ws.mus, ws.ritz,
+                 check_past ? &past_res : nullptr);
     if (check_past &&
         internal::needs_escalation(past_res.res2, past_res.scale,
                                    params_.warm_residual_tol)) {
-      seed_basis(past_basis_, past, omega, eta);
-      mus = ritz_iterate(past_op, past_basis_, params_.cold_iterations);
+      seed_basis(past_basis_, past, omega, eta, ws.ritz);
+      ritz_iterate(ws.past_op, past_basis_, params_.cold_iterations, ws.y,
+                   ws.block, ws.mus, ws.ritz);
       ++escalations_;
     }
     past_warm_ = true;
-    internal::accumulate_fast_score(lambdas, future_basis_, mus, past_basis_,
-                                    eta, weighted, total_weight);
+    internal::accumulate_fast_score(ws.lambdas, future_basis_, ws.mus,
+                                    past_basis_, eta, weighted, total_weight);
   } else {
     for (std::size_t i = 0; i < eta; ++i) {
-      const double lambda = std::max(lambdas[i], 0.0);
+      const double lambda = std::max(ws.lambdas[i], 0.0);
       if (lambda <= 0.0) break;
-      const linalg::Vector beta = future_basis_.col(i);
+      for (std::size_t r = 0; r < omega; ++r) {
+        ws.beta[r] = future_basis_(r, i);
+      }
 
-      const linalg::LanczosResult plr = linalg::lanczos(past_op, beta, k);
-      const linalg::SymEigen pe = linalg::tridiag_eigen(plr.t);
+      linalg::lanczos(ws.past_op, ws.beta, k, ws.tk, ws.lanczos);
+      linalg::tridiag_eigen(ws.tk, ws.tk_eigen, ws.ql);
+      const linalg::SymEigen& pe = ws.tk_eigen;
       double proj2 = 0.0;
       const std::size_t n_past = std::min<std::size_t>(eta, pe.values.size());
       for (std::size_t j = 0; j < n_past; ++j) {

@@ -40,12 +40,29 @@ struct SstGeometry {
   std::size_t krylov_k() const { return eta % 2 == 0 ? 2 * eta : 2 * eta - 1; }
 };
 
-/// Robustly standardized copy of a window: (x - center) / scale where center
-/// is the median of the first `baseline_len` samples (the pre-change
-/// baseline) and scale its MAD-sigma, falling back to the baseline stddev,
-/// then to the whole-window MAD-sigma/stddev, then to 1 (constant windows
-/// pass through centered). Returns empty when the window contains
-/// non-finite samples.
+/// Working buffers for standardizing one window and computing its Eq. 11
+/// factor without touching the heap: `z` receives the standardized window,
+/// `work` is the median/MAD buffer. Sized from the window length once.
+struct WindowScratch {
+  WindowScratch() = default;
+  explicit WindowScratch(std::size_t window) : z(window), work(window) {}
+  std::vector<double> z;
+  std::vector<double> work;
+};
+
+/// Robustly standardized window: (x - center) / scale where center is the
+/// median of the first `baseline_len` samples (the pre-change baseline) and
+/// scale its MAD-sigma, falling back to the baseline stddev, then to the
+/// whole-window MAD-sigma/stddev, then to 1 (constant windows pass through
+/// centered). Writes into `out` (window.size() doubles) using `work`
+/// (at least window.size() doubles); returns false, leaving `out`
+/// untouched, when the window contains non-finite samples.
+bool standardize_window(std::span<const double> window,
+                        std::size_t baseline_len, std::span<double> out,
+                        std::span<double> work);
+
+/// Allocating form of the above: returns the standardized copy, or empty
+/// for a window with non-finite samples.
 std::vector<double> standardize_window(std::span<const double> window,
                                        std::size_t baseline_len);
 
@@ -56,6 +73,12 @@ std::vector<double> standardize_window(std::span<const double> window,
 /// noise. The slack (in robust-sigma units, the data is standardized)
 /// suppresses sub-noise median wobble, including the small median drag a
 /// one-off spike exerts — the persistence rule's first line of defence.
+/// `work` must hold max(past.size(), future.size()) doubles.
+double robust_score_factor(std::span<const double> past,
+                           std::span<const double> future,
+                           std::span<double> work, double slack = 0.5);
+
+/// Allocating form of the above.
 double robust_score_factor(std::span<const double> past,
                            std::span<const double> future,
                            double slack = 0.5);

@@ -4,49 +4,69 @@
 // standalone fast-path IkaSst, which only holds if both run literally the
 // same per-lane arithmetic in the same order. These helpers are that
 // arithmetic; keep them header-inline so there is exactly one definition to
-// drift.
+// drift. They work in place in a caller-owned RitzWorkspace, so a scorer
+// that keeps one per geometry scores windows without heap allocation.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <utility>
 
 #include "linalg/matrix.h"
 #include "linalg/sym_eigen.h"
 
 namespace funnel::detect::internal {
 
+/// Buffers of one Rayleigh-Ritz step on an omega x eta block.
+struct RitzWorkspace {
+  RitzWorkspace(std::size_t omega, std::size_t eta)
+      : t(eta, eta), next(omega, eta), col(omega) {
+    te.values.resize(eta);
+    te.vectors.resize(eta, eta);
+    eig.m.resize(eta, eta);
+    eig.q.resize(eta, eta);
+    eig.diag.resize(eta);
+    eig.order.resize(eta);
+  }
+  linalg::Matrix t;     ///< eta x eta projected operator Bᵀ·C·B
+  linalg::SymEigen te;  ///< its eigenpairs
+  linalg::SymEigenWorkspace eig;
+  linalg::Matrix next;  ///< omega x eta rotated block
+  linalg::Vector col;   ///< one column being orthonormalized
+};
+
 /// Orthonormalize the columns of b in place (modified Gram-Schmidt); columns
 /// that collapse to zero are replaced with canonical basis vectors so the
-/// block keeps full rank.
-inline void orthonormalize(linalg::Matrix& b) {
+/// block keeps full rank. `col` (b.rows() doubles) holds the working column.
+inline void orthonormalize(linalg::Matrix& b, std::span<double> col) {
   const std::size_t n = b.rows();
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    linalg::Vector col = b.col(j);
+  const auto remove_previous = [&](std::size_t j) {
     for (std::size_t k = 0; k < j; ++k) {
-      const linalg::Vector prev = b.col(k);
-      const double proj = linalg::dot(col, prev);
-      for (std::size_t i = 0; i < n; ++i) col[i] -= proj * prev[i];
+      double proj = 0.0;
+      for (std::size_t i = 0; i < n; ++i) proj += col[i] * b(i, k);
+      for (std::size_t i = 0; i < n; ++i) col[i] -= proj * b(i, k);
     }
+  };
+  for (std::size_t j = 0; j < b.cols(); ++j) {
+    for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+    remove_previous(j);
     if (linalg::normalize(col) <= 1e-12) {
       std::fill(col.begin(), col.end(), 0.0);
       col[j % n] = 1.0;
-      for (std::size_t k = 0; k < j; ++k) {
-        const linalg::Vector prev = b.col(k);
-        const double proj = linalg::dot(col, prev);
-        for (std::size_t i = 0; i < n; ++i) col[i] -= proj * prev[i];
-      }
+      remove_previous(j);
       linalg::normalize(col);
     }
-    b.set_col(j, col);
+    for (std::size_t i = 0; i < n; ++i) b(i, j) = col[i];
   }
 }
 
 /// Seed a cold block with lagged windows spread across the half, plus a
 /// small perturbation on the first column, then orthonormalize.
 inline void seed_basis(linalg::Matrix& basis, std::span<const double> half,
-                       std::size_t omega, std::size_t eta) {
-  basis = linalg::Matrix(omega, eta);
+                       std::size_t omega, std::size_t eta,
+                       RitzWorkspace& ws) {
+  basis.resize(omega, eta);
   for (std::size_t j = 0; j < eta; ++j) {
     const std::size_t offset =
         eta > 1 ? j * (half.size() - omega) / (eta - 1) : 0;
@@ -54,38 +74,35 @@ inline void seed_basis(linalg::Matrix& basis, std::span<const double> half,
       basis(i, j) = half[offset + i] + (j == 0 ? 1e-3 : 0.0);
     }
   }
-  orthonormalize(basis);
+  orthonormalize(basis, ws.col);
 }
 
 /// One Rayleigh-Ritz step given Y = C·B: T = Bᵀ Y (eta x eta, symmetric),
-/// eigendecompose, B <- orth(Y·Q). Returns the Ritz values (non-increasing
-/// estimates of C's leading eigenvalues).
-inline linalg::Vector ritz_rotate(linalg::Matrix& basis,
-                                  const linalg::Matrix& y) {
+/// eigendecompose, B <- orth(Y·Q). Writes the Ritz values (non-increasing
+/// estimates of C's leading eigenvalues) into `lambdas` (eta doubles).
+inline void ritz_rotate(linalg::Matrix& basis, const linalg::Matrix& y,
+                        std::span<double> lambdas, RitzWorkspace& ws) {
   const std::size_t omega = basis.rows();
   const std::size_t eta = basis.cols();
-  linalg::Matrix t(eta, eta);
   for (std::size_t a = 0; a < eta; ++a) {
-    const linalg::Vector ba = basis.col(a);
     for (std::size_t b = a; b < eta; ++b) {
-      const double v = linalg::dot(ba, y.col(b));
-      t(a, b) = v;
-      t(b, a) = v;
+      double v = 0.0;
+      for (std::size_t i = 0; i < omega; ++i) v += basis(i, a) * y(i, b);
+      ws.t(a, b) = v;
+      ws.t(b, a) = v;
     }
   }
-  const linalg::SymEigen te = linalg::sym_eigen(t);
-  linalg::Matrix next(omega, eta);
+  linalg::sym_eigen(ws.t, ws.te, ws.eig);
+  ws.next.resize(omega, eta);
   for (std::size_t j = 0; j < eta; ++j) {
-    linalg::Vector col(omega, 0.0);
     for (std::size_t a = 0; a < eta; ++a) {
-      const double q = te.vectors(a, j);
-      for (std::size_t i = 0; i < omega; ++i) col[i] += y(i, a) * q;
+      const double q = ws.te.vectors(a, j);
+      for (std::size_t i = 0; i < omega; ++i) ws.next(i, j) += y(i, a) * q;
     }
-    next.set_col(j, col);
   }
-  orthonormalize(next);
-  basis = std::move(next);
-  return te.values;
+  orthonormalize(ws.next, ws.col);
+  std::swap(basis, ws.next);
+  std::copy(ws.te.values.begin(), ws.te.values.end(), lambdas.begin());
 }
 
 /// Squared Frobenius residual ||C·B − B·diag(ρ)||² of a Ritz block, given
@@ -124,20 +141,23 @@ inline bool needs_escalation(double res2, double lambda_scale, double tol) {
 
 /// Fast-path Eq. 9 accumulation: for each positive future Ritz value λᵢ,
 /// φᵢ = clamp(1 − Σⱼ (βᵢ·uⱼ)², 0, 1) over the positive-μ past directions.
-inline void accumulate_fast_score(const linalg::Vector& lambdas,
+inline void accumulate_fast_score(std::span<const double> lambdas,
                                   const linalg::Matrix& future_basis,
-                                  const linalg::Vector& mus,
+                                  std::span<const double> mus,
                                   const linalg::Matrix& past_basis,
                                   std::size_t eta, double& weighted,
                                   double& total_weight) {
+  const std::size_t omega = future_basis.rows();
   for (std::size_t i = 0; i < eta; ++i) {
     const double lambda = std::max(lambdas[i], 0.0);
     if (lambda <= 0.0) break;
-    const linalg::Vector beta = future_basis.col(i);
     double proj2 = 0.0;
     for (std::size_t j = 0; j < eta; ++j) {
       if (mus[j] <= 0.0) break;
-      const double p = linalg::dot(beta, past_basis.col(j));
+      double p = 0.0;
+      for (std::size_t r = 0; r < omega; ++r) {
+        p += future_basis(r, i) * past_basis(r, j);
+      }
       proj2 += p * p;
     }
     const double phi = std::clamp(1.0 - proj2, 0.0, 1.0);

@@ -5,6 +5,38 @@
 #include "common/error.h"
 
 namespace funnel::linalg {
+namespace {
+
+// out[r·stride] = Σ_{s<terms} window[r + s] · in[s·stride] for r < rows:
+// the Hankel product both halves of a Gram apply reduce to. Each sum starts
+// at 0.0 and adds its terms in ascending s; four rows run side by side so
+// the CPU has four independent add chains, which changes no row's order.
+void correlate(const double* window, const double* in, double* out,
+               std::size_t rows, std::size_t terms, std::size_t stride) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const double* w = window + r;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t s = 0; s < terms; ++s) {
+      const double v = in[s * stride];
+      a0 += w[s] * v;
+      a1 += w[s + 1] * v;
+      a2 += w[s + 2] * v;
+      a3 += w[s + 3] * v;
+    }
+    out[r * stride] = a0;
+    out[(r + 1) * stride] = a1;
+    out[(r + 2) * stride] = a2;
+    out[(r + 3) * stride] = a3;
+  }
+  for (; r < rows; ++r) {
+    double acc = 0.0;
+    for (std::size_t s = 0; s < terms; ++s) acc += window[r + s] * in[s * stride];
+    out[r * stride] = acc;
+  }
+}
+
+}  // namespace
 
 Matrix hankel(std::span<const double> window, std::size_t omega,
               std::size_t count) {
@@ -27,21 +59,19 @@ HankelGramOperator::HankelGramOperator(std::span<const double> window,
                  "HankelGramOperator window length must be omega + count - 1");
 }
 
-void HankelGramOperator::apply(std::span<const double> x,
-                               std::span<double> y) const {
+void HankelGramOperator::set_window(std::span<const double> window) {
+  FUNNEL_REQUIRE(window.size() == window_.size(),
+                 "HankelGramOperator window length must not change");
+  std::copy(window.begin(), window.end(), window_.begin());
+}
+
+void HankelGramOperator::apply(std::span<const double> x, std::span<double> y,
+                               std::span<double> scratch) const {
+  FUNNEL_REQUIRE(scratch.size() >= count_, "apply scratch too small");
   // t = Bᵀ x : t[j] = sum_i window[j + i] * x[i]
-  Vector t(count_, 0.0);
-  for (std::size_t j = 0; j < count_; ++j) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < omega_; ++i) acc += window_[j + i] * x[i];
-    t[j] = acc;
-  }
+  correlate(window_.data(), x.data(), scratch.data(), count_, omega_, 1);
   // y = B t : y[i] = sum_j window[j + i] * t[j]
-  for (std::size_t i = 0; i < omega_; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < count_; ++j) acc += window_[j + i] * t[j];
-    y[i] = acc;
-  }
+  correlate(window_.data(), scratch.data(), y.data(), omega_, count_, 1);
 }
 
 void HankelGramOperator::apply_block_reference(std::span<const double> x,
@@ -66,27 +96,15 @@ void HankelGramOperator::apply_block(std::span<const double> x,
                  "apply_block operand too small");
   FUNNEL_REQUIRE(scratch.size() >= count_ * cols,
                  "apply_block scratch too small");
-  // T = Bᵀ X : T(j,b) = sum_i window[j + i] * X(i,b). The i-loop is the
-  // accumulation loop (same order as apply()), the b-loop is unit-stride.
-  std::fill(scratch.begin(), scratch.begin() + count_ * cols, 0.0);
-  for (std::size_t j = 0; j < count_; ++j) {
-    double* trow = scratch.data() + j * cols;
-    for (std::size_t i = 0; i < omega_; ++i) {
-      const double w = window_[j + i];
-      const double* xrow = x.data() + i * cols;
-      for (std::size_t b = 0; b < cols; ++b) trow[b] += w * xrow[b];
-    }
+  // T = Bᵀ X, then Y = B T, one block column at a time: every accumulator
+  // sums the same products in the same order as apply() on that column.
+  for (std::size_t b = 0; b < cols; ++b) {
+    correlate(window_.data(), x.data() + b, scratch.data() + b, count_, omega_,
+              cols);
   }
-  // Y = B T : Y(i,b) = sum_j window[j + i] * T(j,b), j is the accumulation
-  // loop, again matching apply()'s summation order bit for bit.
-  std::fill(y.begin(), y.begin() + omega_ * cols, 0.0);
-  for (std::size_t i = 0; i < omega_; ++i) {
-    double* yrow = y.data() + i * cols;
-    for (std::size_t j = 0; j < count_; ++j) {
-      const double w = window_[j + i];
-      const double* trow = scratch.data() + j * cols;
-      for (std::size_t b = 0; b < cols; ++b) yrow[b] += w * trow[b];
-    }
+  for (std::size_t b = 0; b < cols; ++b) {
+    correlate(window_.data(), scratch.data() + b, y.data() + b, omega_, count_,
+              cols);
   }
 #endif
 }

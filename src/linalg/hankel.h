@@ -34,23 +34,30 @@ constexpr std::size_t hankel_span(std::size_t omega, std::size_t count) {
 ///
 /// The window is copied (it is at most a few dozen samples), so the operator
 /// remains valid after the source buffer changes — important for the online
-/// sliding-window detector.
+/// sliding-window detector. set_window() re-points a long-lived operator at
+/// the next window in place, without touching the heap.
 class HankelGramOperator final : public LinearOperator {
  public:
   HankelGramOperator(std::span<const double> window, std::size_t omega,
                      std::size_t count);
 
+  /// Replace the window (same length as the one constructed with).
+  void set_window(std::span<const double> window);
+
   std::size_t dim() const override { return omega_; }
-  void apply(std::span<const double> x, std::span<double> y) const override;
+  /// apply() keeps Bᵀ·x (count() doubles) in the scratch.
+  std::size_t scratch_size() const override { return count_; }
+  using LinearOperator::apply;
+  void apply(std::span<const double> x, std::span<double> y,
+             std::span<double> scratch) const override;
 
   /// Y = C X for a block of `cols` vectors stored row-major
-  /// (x[i * cols + b] = X(i, b), i < dim()), one strided pass over the
-  /// window samples for the whole block. The inner loops run unit-stride
-  /// over the block columns, which is what makes the pass SIMD-friendly;
-  /// each accumulator still sums the same products in the same order as a
+  /// (x[i * cols + b] = X(i, b), i < dim()), column by column through the
+  /// same register-accumulating Hankel kernel apply() uses: each
+  /// accumulator sums the same products in the same order as a
   /// column-at-a-time apply(), so the result is bit-identical to the scalar
-  /// reference path (asserted by linalg_lanczos_test). `scratch` must hold
-  /// at least count() * cols doubles and is fully overwritten.
+  /// reference path (asserted by detect_sst_warmstart_test). `scratch`
+  /// must hold at least count() * cols doubles and is fully overwritten.
   void apply_block(std::span<const double> x, std::span<double> y,
                    std::size_t cols, std::span<double> scratch) const;
 

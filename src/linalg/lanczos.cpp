@@ -6,44 +6,63 @@
 
 namespace funnel::linalg {
 
+void LinearOperator::apply(std::span<const double> x,
+                           std::span<double> y) const {
+  Vector scratch(scratch_size());
+  apply(x, y, scratch);
+}
+
 DenseOperator::DenseOperator(Matrix m) : m_(std::move(m)) {
   FUNNEL_REQUIRE(m_.rows() == m_.cols(), "DenseOperator requires square matrix");
 }
 
-void DenseOperator::apply(std::span<const double> x, std::span<double> y) const {
-  const Vector r = matvec(m_, x);
-  std::copy(r.begin(), r.end(), y.begin());
+void DenseOperator::apply(std::span<const double> x, std::span<double> y,
+                          std::span<double> /*scratch*/) const {
+  FUNNEL_REQUIRE(x.size() == m_.cols(), "matvec dimension mismatch");
+  for (std::size_t r = 0; r < m_.rows(); ++r) {
+    const auto row = m_.row(r);
+    double acc = 0.0;
+    for (std::size_t c = 0; c < row.size(); ++c) acc += row[c] * x[c];
+    y[r] = acc;
+  }
 }
 
-LanczosResult lanczos(const LinearOperator& op, std::span<const double> v0,
-                      std::size_t k, bool want_basis) {
+void lanczos(const LinearOperator& op, std::span<const double> v0,
+             std::size_t k, Tridiagonal& t, LanczosWorkspace& ws) {
   const std::size_t n = op.dim();
   FUNNEL_REQUIRE(v0.size() == n, "lanczos seed dimension mismatch");
   FUNNEL_REQUIRE(k >= 1, "lanczos needs at least one step");
   k = std::min(k, n);
 
-  std::vector<Vector> basis;
-  basis.reserve(k);
-
-  Vector v(v0.begin(), v0.end());
+  ws.basis.resize(k, n);
+  ws.v.assign(v0.begin(), v0.end());
+  ws.w.assign(n, 0.0);
+  ws.scratch.resize(op.scratch_size());
+  const std::span<double> v(ws.v);
+  const std::span<double> w(ws.w);
   const double v0norm = normalize(v);
   FUNNEL_REQUIRE(v0norm > 0.0, "lanczos seed must be nonzero");
 
-  Vector alphas;
-  Vector betas;
-  Vector w(n, 0.0);
+  // Every step but the last appends one beta, so subdiag always ends with
+  // diag.size() - 1 entries.
+  Vector& alphas = t.diag;
+  Vector& betas = t.subdiag;
+  alphas.clear();
+  betas.clear();
+  alphas.reserve(k);
+  betas.reserve(k);
 
   for (std::size_t j = 0; j < k; ++j) {
-    basis.push_back(v);
-    op.apply(v, w);
+    std::copy(v.begin(), v.end(), ws.basis.row(j).begin());
+    op.apply(v, w, ws.scratch);
     const double alpha = dot(w, v);
     alphas.push_back(alpha);
     // w <- w - alpha v - beta v_{j-1}, then full reorthogonalization.
     axpy(-alpha, v, w);
-    if (j > 0) axpy(-betas.back(), basis[j - 1], w);
-    for (const Vector& b : basis) {
-      const double proj = dot(w, b);
-      axpy(-proj, b, w);
+    if (j > 0) axpy(-betas.back(), ws.basis.row(j - 1), w);
+    for (std::size_t b = 0; b <= j; ++b) {
+      const double proj = dot(w, ws.basis.row(b));
+      axpy(-proj, ws.basis.row(b), w);
     }
     const double beta = norm2(w);
     if (j + 1 == k) break;
@@ -55,18 +74,17 @@ LanczosResult lanczos(const LinearOperator& op, std::span<const double> v0,
     betas.push_back(beta);
     for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / beta;
   }
+}
 
+LanczosResult lanczos(const LinearOperator& op, std::span<const double> v0,
+                      std::size_t k, bool want_basis) {
   LanczosResult out;
-  out.t.diag = std::move(alphas);
-  out.t.subdiag.assign(betas.begin(),
-                       betas.begin() + static_cast<std::ptrdiff_t>(
-                                           out.t.diag.size() - 1 < betas.size()
-                                               ? out.t.diag.size() - 1
-                                               : betas.size()));
+  LanczosWorkspace ws;
+  lanczos(op, v0, k, out.t, ws);
   if (want_basis) {
-    out.basis = Matrix(n, out.t.diag.size());
-    for (std::size_t j = 0; j < out.t.diag.size(); ++j) {
-      out.basis.set_col(j, basis[j]);
+    out.basis = Matrix(op.dim(), out.steps());
+    for (std::size_t j = 0; j < out.steps(); ++j) {
+      out.basis.set_col(j, ws.basis.row(j));
     }
   }
   return out;

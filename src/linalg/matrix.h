@@ -28,6 +28,11 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
+  /// Reshape to rows x cols, zero-filled. Reuses the existing storage when
+  /// it is large enough, so a workspace matrix resized to the same shape
+  /// never touches the heap.
+  void resize(std::size_t rows, std::size_t cols);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }

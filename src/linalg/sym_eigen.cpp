@@ -1,18 +1,41 @@
 #include "linalg/sym_eigen.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 
 namespace funnel::linalg {
 
-SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
+void sort_eigenpairs(const Vector& values, const Matrix& vectors,
+                     std::vector<std::size_t>& order, SymEigen& out) {
+  const std::size_t n = values.size();
+  order.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t pos = j;
+    for (; pos > 0 && values[j] > values[order[pos - 1]]; --pos) {
+      order[pos] = order[pos - 1];
+    }
+    order[pos] = j;
+  }
+  out.values.resize(n);
+  out.vectors.resize(vectors.rows(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    out.values[j] = values[order[j]];
+    for (std::size_t i = 0; i < vectors.rows(); ++i) {
+      out.vectors(i, j) = vectors(i, order[j]);
+    }
+  }
+}
+
+void sym_eigen(const Matrix& a, SymEigen& out, SymEigenWorkspace& ws,
+               double tol, int max_sweeps) {
   FUNNEL_REQUIRE(a.rows() == a.cols(), "sym_eigen requires a square matrix");
   const std::size_t n = a.rows();
-  Matrix m = a;
-  Matrix q = Matrix::identity(n);
+  Matrix& m = ws.m;
+  Matrix& q = ws.q;
+  m = a;
+  q.resize(n, n);
+  for (std::size_t i = 0; i < n; ++i) q(i, i) = 1.0;
 
   // Scale for the convergence test: Frobenius norm of the input.
   double fro = 0.0;
@@ -65,22 +88,15 @@ SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
     }
   }
 
-  Vector values(n);
-  for (std::size_t i = 0; i < n; ++i) values[i] = m(i, i);
+  ws.diag.resize(n);
+  for (std::size_t i = 0; i < n; ++i) ws.diag[i] = m(i, i);
+  sort_eigenpairs(ws.diag, q, ws.order, out);
+}
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return values[x] > values[y];
-  });
-
+SymEigen sym_eigen(const Matrix& a, double tol, int max_sweeps) {
   SymEigen out;
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = values[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = q(i, order[j]);
-  }
+  SymEigenWorkspace ws;
+  sym_eigen(a, out, ws, tol, max_sweeps);
   return out;
 }
 

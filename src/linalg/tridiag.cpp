@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 
@@ -85,27 +84,23 @@ Matrix Tridiagonal::to_dense() const {
   return m;
 }
 
-SymEigen tridiag_eigen(const Tridiagonal& t) {
+void tridiag_eigen(const Tridiagonal& t, SymEigen& out, TridiagWorkspace& ws) {
   FUNNEL_REQUIRE(t.subdiag.size() + 1 == t.diag.size() || t.diag.empty(),
                  "tridiagonal subdiagonal must have n-1 entries");
   const std::size_t n = t.size();
-  Vector d = t.diag;
-  Vector e = t.subdiag;
-  Matrix z = Matrix::identity(n);
-  tqli(d, e, &z);
+  ws.d.assign(t.diag.begin(), t.diag.end());
+  ws.e.reserve(n);
+  ws.e.assign(t.subdiag.begin(), t.subdiag.end());
+  ws.z.resize(n, n);
+  for (std::size_t i = 0; i < n; ++i) ws.z(i, i) = 1.0;
+  tqli(ws.d, ws.e, &ws.z);
+  sort_eigenpairs(ws.d, ws.z, ws.order, out);
+}
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) { return d[a] > d[b]; });
-
+SymEigen tridiag_eigen(const Tridiagonal& t) {
   SymEigen out;
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    out.values[j] = d[order[j]];
-    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = z(i, order[j]);
-  }
+  TridiagWorkspace ws;
+  tridiag_eigen(t, out, ws);
   return out;
 }
 

@@ -6,6 +6,8 @@
 // FUNNEL, so this is a handful of 2x2 rotations per window.
 #pragma once
 
+#include <vector>
+
 #include "linalg/matrix.h"
 #include "linalg/sym_eigen.h"
 
@@ -22,12 +24,24 @@ struct Tridiagonal {
   Matrix to_dense() const;
 };
 
+/// Working buffers of tridiag_eigen. After one call at a given size,
+/// further calls at that size (with the same `out`) make no heap allocation.
+struct TridiagWorkspace {
+  Vector d;  ///< diagonal, converging to the eigenvalues
+  Vector e;  ///< subdiagonal plus one spare slot
+  Matrix z;  ///< accumulated rotations
+  std::vector<std::size_t> order;
+};
+
 /// Eigendecomposition of a symmetric tridiagonal matrix by implicit-shift QL
-/// (the classic `tqli` routine). Eigenvalues are returned in non-increasing
-/// order, eigenvectors as columns of `vectors` (expressed in the basis the
-/// tridiagonal matrix is given in).
+/// (the classic `tqli` routine), written into `out`. Eigenvalues are
+/// returned in non-increasing order, eigenvectors as columns of `vectors`
+/// (expressed in the basis the tridiagonal matrix is given in).
 ///
 /// Throws NumericalError if an eigenvalue fails to converge in 50 iterations.
+void tridiag_eigen(const Tridiagonal& t, SymEigen& out, TridiagWorkspace& ws);
+
+/// Allocating form of the above.
 SymEigen tridiag_eigen(const Tridiagonal& t);
 
 /// Eigenvalues only (same algorithm without eigenvector accumulation —

@@ -15,10 +15,17 @@
 // The corpus is built from the src/workload KPI classes with level shifts,
 // ramps and transient spikes, then dirtied with NaN gaps, flat runs,
 // quantised stretches and one-sample spikes.
+//
+// The same tiers are held to the allocation-free contract: once a scorer
+// has seen one series, scoring further windows makes no heap allocation.
+// A counting replacement of the global operator new checks it.
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -29,8 +36,57 @@
 #include "workload/generators.h"
 #include "workload/stream.h"
 
+// Heap allocations made by this thread while counting is on.
+thread_local bool g_counting = false;
+thread_local std::size_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  if (g_counting) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+// Out of line so the compiler does not pair an inlined free() with a
+// caller's operator new and warn about a mismatch.
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+
 namespace funnel::detect {
 namespace {
+
+// Counts the heap allocations made inside its scope.
+class AllocationScope {
+ public:
+  AllocationScope() {
+    g_allocations = 0;
+    g_counting = true;
+  }
+  ~AllocationScope() { g_counting = false; }
+  std::size_t count() const { return g_allocations; }
+};
 
 constexpr MinuteTime kLen = 360;
 
@@ -169,6 +225,51 @@ TEST(SstScoreBits, GoldenHashesPerTierAndOmega) {
         << g.name << " omega=" << g.omega << ": got 0x" << std::hex
         << got.hash << std::dec << " over " << got.n << " scores (" << got.nans
         << " NaN, " << got.zeros << " zero, " << got.positives << " > 0)";
+  }
+}
+
+// Scores every window of `series` through `score`, one call per window.
+template <typename ScoreFn>
+void score_windows(const std::vector<double>& series, std::size_t w,
+                   ScoreFn&& score) {
+  const std::span<const double> all(series);
+  for (std::size_t s = 0; s + w <= series.size(); ++s) {
+    (void)score(all.subspan(s, w));
+  }
+}
+
+TEST(SstScoreBits, AllocationCounterSeesHeapAllocations) {
+  const AllocationScope scope;
+  const auto v = std::make_unique<std::vector<double>>(64, 1.0);
+  EXPECT_EQ(scope.count(), 2u);
+}
+
+TEST(SstScoreBits, SteadyStateScoringMakesNoHeapAllocation) {
+  const std::vector<std::vector<double>> series = corpus();
+  for (std::size_t omega : {5u, 9u, 15u}) {
+    const SstGeometry geo{.omega = omega, .eta = 3};
+    IkaParams fast;
+    fast.warm_past = true;
+    IkaSst plain(geo);
+    IkaSst warm_past(geo, fast);
+    IkaSst cold(geo);
+    CascadeGate gate(std::make_unique<IkaSst>(geo), CascadeConfig{});
+    const auto run_all = [&](const std::vector<double>& x) {
+      const std::size_t w = geo.window();
+      score_windows(x, w, [&](auto win) { return plain.score(win); });
+      score_windows(x, w, [&](auto win) { return warm_past.score(win); });
+      score_windows(x, w, [&](auto win) {
+        cold.reset();
+        return cold.score(win);
+      });
+      score_windows(x, w, [&](auto win) { return gate.score(win); });
+    };
+    run_all(series.front());  // warm-up
+    for (const std::vector<double>& x : series) {
+      const AllocationScope scope;
+      run_all(x);
+      EXPECT_EQ(scope.count(), 0u) << "omega=" << omega;
+    }
   }
 }
 
