@@ -28,7 +28,9 @@ namespace persist = tsdb::persist;
 // Watch-snapshot blob version (persisted inside the store checkpoint; see
 // docs/STORAGE.md, "Watch snapshot"). Bump on any layout change — restore
 // refuses blobs it does not understand rather than guessing.
-constexpr std::uint8_t kWatchSnapshotVersion = 1;
+// Version 2 adds each metric watch's fixed DiD post window; version 1 blobs
+// still restore (their pending determinations re-derive it).
+constexpr std::uint8_t kWatchSnapshotVersion = 2;
 
 // The ItemVerdict codec persists the *decision*, not the evidence trail:
 // determinations consumed store state (control groups, historical windows)
@@ -259,6 +261,18 @@ void FunnelOnline::handle_sample(const tsdb::MetricId& id, MinuteTime t,
     }
     if (t >= watch.deadline) finished.push_back(cid);
   }
+  // A control series catching up can complete a waiting determination's
+  // inputs; this sample may be the one that does.
+  if (awaiting_inputs_) {
+    awaiting_inputs_ = false;
+    for (auto& [cid, watch] : watches_) {
+      for (auto& [metric, mw] : watch.metrics) {
+        if (mw.pending_determination && mw.did_post > 0) {
+          try_determination(watch, mw, t);
+        }
+      }
+    }
+  }
   for (changes::ChangeId cid : finished) finalize(cid);
 }
 
@@ -277,12 +291,22 @@ std::size_t FunnelOnline::expire(MinuteTime now) {
 void FunnelOnline::try_determination(ChangeWatch& watch, MetricWatch& mw,
                                      MinuteTime now) {
   const changes::SoftwareChange& change = log_.get(watch.change_id);
-  // Use only fully-delivered minutes: samples for `now` are still arriving
-  // metric by metric, so the post period ends at `now` (exclusive) —
-  // otherwise sibling/control series would be judged "not covering" and
-  // dropped from the DiD groups.
-  const MinuteTime post = now - change.time;
-  if (post < config_.min_did_window) return;  // wait for more post data
+  if (mw.did_post == 0) {
+    // Use only fully-delivered minutes of the treated feed: samples for
+    // `now` are still arriving metric by metric, so the post period ends
+    // at `now` (exclusive).
+    const MinuteTime post = now - change.time;
+    if (post < config_.min_did_window) return;  // wait for more post data
+    mw.did_post = post;
+  }
+  // The fit reads the treated and control series as the store holds them;
+  // running it before they cover the post window would make the verdict
+  // depend on delivery order (a WAL-tail replay, say, sees a different
+  // store than the live dispatcher did).
+  if (!did_inputs_complete(watch, mw)) {
+    awaiting_inputs_ = true;
+    return;
+  }
   // Runs on the dispatcher thread for an async store. Parenting under the
   // watch root (not the ambient context) keeps one tree per watch; the span
   // installs itself as ambient, so determine_cause's own spans nest inside.
@@ -290,14 +314,41 @@ void FunnelOnline::try_determination(ChangeWatch& watch, MetricWatch& mw,
   if (trace_span.active()) {
     trace_span.attr("kpi.metric", mw.metric.to_string());
     trace_span.attr("kpi.minute", now);
-    trace_span.attr("kpi.post_window", post);
+    trace_span.attr("kpi.post_window", mw.did_post);
   }
-  batch_.determine_cause(change, watch.set, mw.metric, post, mw.verdict);
+  batch_.determine_cause(change, watch.set, mw.metric, mw.did_post,
+                         mw.verdict);
   mw.pending_determination = false;
-  note_determined(change, mw, now);
+  note_determined(change, mw, change.time + mw.did_post);
   if (mw.verdict.caused_by_software_change() && verdict_cb_) {
     verdict_cb_(watch.change_id, mw.verdict);
   }
+}
+
+bool FunnelOnline::did_inputs_complete(const ChangeWatch& watch,
+                                       const MetricWatch& mw) const {
+  // The historical path reads only the KPI's own series, which the feed
+  // has delivered through the current minute.
+  if (is_affected_service_metric(watch.set, mw.metric) ||
+      !watch.set.dark_launched) {
+    return true;
+  }
+  const changes::SoftwareChange& change = log_.get(watch.change_id);
+  const MinuteTime post_end =
+      change.time + std::min(config_.did_window, mw.did_post);
+  const auto covered = [&](const std::vector<tsdb::MetricId>& group) {
+    for (const tsdb::MetricId& id : group) {
+      bool behind = false;
+      // A series the store has never seen cannot catch up; DiD skips it.
+      store_.read_if(id, [&](const tsdb::TimeSeries& s) {
+        behind = s.end_time() < post_end;
+      });
+      if (behind) return false;
+    }
+    return true;
+  };
+  return covered(treated_group_for(watch.set, mw.metric)) &&
+         covered(control_group_for(watch.set, mw.metric));
 }
 
 void FunnelOnline::note_determined(const changes::SoftwareChange& change,
@@ -383,11 +434,15 @@ void FunnelOnline::finalize(changes::ChangeId id, bool timed_out) {
           note_determined(change, mw, watch.deadline);
         } else {
           // Horizon reached with a still-undetermined alarm: run with the
-          // full observed window.
-          batch_.determine_cause(change, watch.set, mw.metric,
-                                 watch.deadline - change.time, mw.verdict);
+          // post window fixed when it became eligible (its inputs never
+          // all arrived), else with the full observed window.
+          const MinuteTime post = mw.did_post > 0
+                                      ? mw.did_post
+                                      : watch.deadline - change.time;
+          batch_.determine_cause(change, watch.set, mw.metric, post,
+                                 mw.verdict);
           mw.pending_determination = false;
-          note_determined(change, mw, watch.deadline);
+          note_determined(change, mw, change.time + post);
           if (mw.verdict.caused_by_software_change() && verdict_cb_) {
             verdict_cb_(id, mw.verdict);
           }
@@ -456,6 +511,7 @@ std::string FunnelOnline::snapshot_state() const {
       persist::put_u64(out, mw.fed.size());
       for (double v : mw.fed) persist::put_f64(out, v);
       persist::put_u8(out, mw.pending_determination ? 1 : 0);
+      persist::put_i64(out, mw.did_post);
       encode_verdict(out, mw.verdict);
     }
   }
@@ -468,7 +524,10 @@ void FunnelOnline::restore_state(const std::string& blob) {
   const auto corrupt = [] {
     return persist::StorageError("corrupt watch snapshot");
   };
-  if (r.get_u8() != kWatchSnapshotVersion || !r.ok()) throw corrupt();
+  const std::uint8_t version = r.get_u8();
+  if ((version != 1 && version != kWatchSnapshotVersion) || !r.ok()) {
+    throw corrupt();
+  }
   const std::uint32_t n_watches = r.get_u32();
   for (std::uint32_t w = 0; w < n_watches && r.ok(); ++w) {
     const changes::ChangeId cid = r.get_u64();
@@ -498,6 +557,7 @@ void FunnelOnline::restore_state(const std::string& blob) {
         fed.push_back(r.get_f64());
       }
       const bool pending = r.get_u8() != 0;
+      const MinuteTime did_post = version >= 2 ? r.get_i64() : 0;
       if (!r.ok()) throw corrupt();
       MetricWatch mw = make_metric_watch(metric, fed_start);
       // Replaying the recorded feed rebuilds the scorer, cascade gate,
@@ -512,6 +572,8 @@ void FunnelOnline::restore_state(const std::string& blob) {
       mw.verdict.metric = metric;
       decode_verdict(r, mw.verdict);
       mw.pending_determination = pending;
+      mw.did_post = did_post;
+      if (pending && did_post > 0) awaiting_inputs_ = true;
       if (!r.ok()) throw corrupt();
       watch.metrics.emplace(std::move(metric), std::move(mw));
     }

@@ -7,8 +7,11 @@
 // arrives. Alarms raised at/after the deployment minute trigger causality
 // determination as soon as `min_did_window` post-change minutes exist —
 // which is how the §5.2 ad-system incident was confirmed within ~10 minutes
-// instead of the 1.5 hours manual assessment took. After `horizon` minutes
-// the watch finalizes into an AssessmentReport.
+// instead of the 1.5 hours manual assessment took. The DiD fit runs once
+// every treated and control series it reads covers that post window (or at
+// finalize), so a verdict is a function of the data, not of the order the
+// feed delivered it in. After `horizon` minutes the watch finalizes into an
+// AssessmentReport.
 //
 // Threading (full model in docs/CONCURRENCY.md, "Online assessor"): with a
 // synchronous store, everything runs on the producing thread, as before.
@@ -136,6 +139,10 @@ class FunnelOnline {
     ItemVerdict verdict;
     FeedQuality quality;
     bool pending_determination = false;  ///< alarm raised, DiD deferred
+    /// Post window the pending determination runs with: fixed by the first
+    /// treated minute with at least min_did_window post-change minutes, so
+    /// it depends on the treated feed only. 0 until then.
+    MinuteTime did_post = 0;
     /// First minute the detector consumed (priming start).
     MinuteTime fed_start = 0;
     /// Every value the detector consumed, in order (primed history, live
@@ -171,7 +178,15 @@ class FunnelOnline {
   /// watch's detector, handling alarm rearm/latch bookkeeping.
   void feed_detector(const changes::SoftwareChange& change, MetricWatch& mw,
                      double value);
+  /// Run the pending determination once the post window is fixed and
+  /// every series its DiD reads covers that window; otherwise leave it
+  /// pending (a later sample or finalize() runs it).
   void try_determination(ChangeWatch& watch, MetricWatch& mw, MinuteTime now);
+  /// True when every treated/control series the dark-launch DiD for `mw`
+  /// would read already holds data through the end of its post window, so
+  /// the fit no longer depends on how far the feed has been delivered.
+  bool did_inputs_complete(const ChangeWatch& watch,
+                           const MetricWatch& mw) const;
   void finalize(changes::ChangeId id, bool timed_out = false);
 
   /// Stamp the confirming minute on the verdict and record the online
@@ -187,6 +202,8 @@ class FunnelOnline {
 
   std::map<changes::ChangeId, ChangeWatch> watches_;
   bool record_feed_ = false;  ///< store is persistent: keep MetricWatch::fed
+  /// Some determination waits for its DiD inputs: re-check on each sample.
+  bool awaiting_inputs_ = false;
   tsdb::SubscriptionId subscription_ = 0;
   bool subscribed_ = false;
   VerdictCallback verdict_cb_;

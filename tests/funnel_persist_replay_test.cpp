@@ -259,6 +259,67 @@ TEST(PersistReplay, KillAtRandomizedPointsIsByteIdentical) {
   }
 }
 
+// The scenario's actions with the control servers' post-watch samples
+// delivered `lag` minutes behind the treated servers' — what a dispatcher
+// sees when per-server batches arrive from independent agents. Every
+// series still receives its samples in minute order.
+std::vector<Action> with_control_lag(const ReplayScenario& sc,
+                                     MinuteTime lag) {
+  std::vector<Action> out(sc.actions.begin(),
+                          sc.actions.begin() +
+                              static_cast<std::ptrdiff_t>(sc.watch_index) + 1);
+  std::vector<Action> treated, control;
+  for (std::size_t i = sc.watch_index + 1; i < sc.actions.size(); ++i) {
+    const Action& a = sc.actions[i];
+    const bool is_control =
+        a.metric.entity == "s3" || a.metric.entity == "s4";
+    (is_control ? control : treated).push_back(a);
+  }
+  std::size_t c = 0;
+  for (const Action& a : treated) {
+    while (c < control.size() && control[c].t + lag < a.t) {
+      out.push_back(control[c++]);
+    }
+    out.push_back(a);
+  }
+  out.insert(out.end(), control.begin() + static_cast<std::ptrdiff_t>(c),
+             control.end());
+  return out;
+}
+
+std::string online_report(const ReplayScenario& sc,
+                          const std::vector<Action>& actions) {
+  tsdb::MetricStore store;
+  FunnelOnline online(test_config(), sc.topo, sc.log, store);
+  std::string report;
+  online.on_report([&](const AssessmentReport& r) { report = to_json(r); });
+  for (const Action& a : actions) {
+    if (a.is_watch) {
+      online.watch(sc.change_id);
+    } else {
+      store.append(a.metric, a.t, a.value);
+    }
+  }
+  return report;
+}
+
+// The DiD determination reads the control series from the store, so it
+// must not run until they cover the post window: otherwise how far the
+// feed has been delivered — dispatcher lag, or a WAL-tail replay against a
+// store that already holds everything — decides which controls the fit
+// uses. Delivering the same samples with the controls lagging must give
+// the same report bytes as in-order delivery.
+TEST(PersistReplay, DeterminationIndependentOfDispatchInterleaving) {
+  const ReplayScenario sc;
+  const std::string in_order = online_report(sc, sc.actions);
+  ASSERT_FALSE(in_order.empty());
+  EXPECT_NE(in_order.find("\"n_control\":2"), std::string::npos) << in_order;
+  for (MinuteTime lag : {1, 5, 20}) {
+    EXPECT_EQ(online_report(sc, with_control_lag(sc, lag)), in_order)
+        << "lag=" << lag;
+  }
+}
+
 TEST(PersistReplay, JournalRepairKeepsExactEventPrefix) {
   if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF: append is a no-op";
   const fs::path dir =
