@@ -17,7 +17,8 @@
 //   POST /v1/maintenance/<tenant>?now=M   expire gap-starved watches
 //   POST /v1/quarantine/<tenant>  body = reason (fault-drill hook)
 //   GET  /v1/tenants              tenant list with status
-// plus the plane's own /metrics /healthz /varz /statusz.
+// plus the plane's own /metrics /stats.json /healthz /readyz /statusz
+// /tracez.
 //
 // Refusal ladder (per request, cheapest first; docs/SERVICE.md "Quotas &
 // admission"):
