@@ -13,16 +13,23 @@
 //   cascaded  fast + pre-filter cascade (variance + raw-CUSUM gates)
 //
 // Alongside the table it writes a machine-readable BENCH_sst.json
-// (--json FILE, default BENCH_sst.json) with per-tier µs/window, derived
-// million-KPI core counts, the speedups vs cold, and the fast-vs-exact
-// score correlation. tests/sst_bench_smoke.cmake validates the JSON shape
-// and asserts the cascaded tier is ≥ 5x cheaper than cold.
+// (--json FILE, default BENCH_sst.json) with an environment header (git
+// sha, build type, nproc, CPU model, date), per-tier µs/window, heap
+// allocations per window, derived million-KPI core counts, the speedups vs
+// cold, and the fast-vs-exact score correlation.
+// tests/sst_bench_smoke.cmake validates the JSON shape and asserts the
+// cascaded tier is ≥ 5x cheaper than cold.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
+#include <new>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -37,6 +44,31 @@
 #include "detect/sliding.h"
 #include "workload/generators.h"
 #include "workload/stream.h"
+
+// Every heap allocation the process makes; a tier's allocations per window
+// are the delta over one extra pass.
+static std::size_t g_allocations = 0;
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+// Out of line so the compiler does not pair an inlined free() with a
+// caller's operator new and warn about a mismatch.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 using namespace funnel;
 
@@ -68,6 +100,66 @@ double measure(std::size_t windows_per_pass, std::size_t min_windows,
   return (now_us() - start) / static_cast<double>(scored);
 }
 
+/// Heap allocations per window of one more pass (the scorer already warm).
+template <typename Pass>
+double allocs_per_window(std::size_t windows_per_pass, Pass&& pass) {
+  const std::size_t before = g_allocations;
+  pass();
+  return static_cast<double>(g_allocations - before) /
+         static_cast<double>(windows_per_pass);
+}
+
+std::string git_sha() {
+#if defined(FUNNEL_SOURCE_DIR)
+  std::string cmd = "git -C \"" FUNNEL_SOURCE_DIR
+                    "\" rev-parse --short=12 HEAD 2>/dev/null";
+  std::string sha;
+  if (FILE* p = popen(cmd.c_str(), "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof buf, p) != nullptr) sha = buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  if (!sha.empty()) return sha;
+#endif
+  return "unknown";
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(' '));
+    return model;
+  }
+  return "unknown";
+}
+
+std::string utc_now() {
+  const std::time_t t = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&t, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
+}
+
+/// Quote `s` as a JSON string (the env fields hold no control characters).
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -88,33 +180,39 @@ int main(int argc, char** argv) {
 
   // cold: full restart per window.
   detect::IkaSst cold_scorer(g);
-  const double us_cold = measure(positions, quick ? 600 : 2000, [&] {
+  const auto cold_pass = [&] {
     for (std::size_t i = 0; i < positions; ++i) {
       cold_scorer.reset();
       volatile double s = cold_scorer.score(span.subspan(i, w));
       (void)s;
     }
-  });
+  };
+  const double us_cold = measure(positions, quick ? 600 : 2000, cold_pass);
+  const double allocs_cold = allocs_per_window(positions, cold_pass);
 
   // warm: the default scorer across consecutive windows.
   detect::IkaSst warm_scorer(g);
-  const double us_warm = measure(positions, min_windows, [&] {
+  const auto warm_pass = [&] {
     for (std::size_t i = 0; i < positions; ++i) {
       volatile double s = warm_scorer.score(span.subspan(i, w));
       (void)s;
     }
-  });
+  };
+  const double us_warm = measure(positions, min_windows, warm_pass);
+  const double allocs_warm = allocs_per_window(positions, warm_pass);
 
   // fast: warm-past + deterministic restarts.
   detect::IkaParams fast_params;
   fast_params.warm_past = true;
   detect::IkaSst fast_scorer(g, fast_params);
-  const double us_fast = measure(positions, min_windows, [&] {
+  const auto fast_pass = [&] {
     for (std::size_t i = 0; i < positions; ++i) {
       volatile double s = fast_scorer.score(span.subspan(i, w));
       (void)s;
     }
-  });
+  };
+  const double us_fast = measure(positions, min_windows, fast_pass);
+  const double allocs_fast = allocs_per_window(positions, fast_pass);
 
   // batch: 8 lanes in lockstep, µs per window per KPI.
   constexpr std::size_t kLanes = 8;
@@ -124,7 +222,7 @@ int main(int argc, char** argv) {
   }
   detect::IkaSstBatch batch(kLanes, g, fast_params);
   std::vector<double> packed(kLanes * w), batch_out(kLanes);
-  const double us_batch = measure(positions * kLanes, min_windows, [&] {
+  const auto batch_pass = [&] {
     for (std::size_t i = 0; i < positions; ++i) {
       for (std::size_t k = 0; k < kLanes; ++k) {
         std::memcpy(packed.data() + k * w, fleet[k].data() + i,
@@ -134,21 +232,26 @@ int main(int argc, char** argv) {
       volatile double s = batch_out[0];
       (void)s;
     }
-  });
+  };
+  const double us_batch = measure(positions * kLanes, min_windows, batch_pass);
+  const double allocs_batch = allocs_per_window(positions * kLanes, batch_pass);
 
   // cascaded: fast scorer behind the pre-filter gates.
   detect::IkaSst casc_scorer(g, fast_params);
   detect::CascadeConfig cc;
   cc.sst_threshold = 0.22;  // library-default alarm threshold
   detect::CascadeCounters counters;
-  const double us_casc = measure(positions, min_windows, [&] {
+  const auto casc_pass = [&] {
     casc_scorer.reset();
     const auto scores =
         detect::cascade_score_series(casc_scorer, series, cc, &counters,
                                      nullptr);
     volatile double s = scores.empty() ? 0.0 : scores.back();
     (void)s;
-  });
+  };
+  const double us_casc = measure(positions, min_windows, casc_pass);
+  // Whole-series call: includes its output vector and gate scratch.
+  const double allocs_casc = allocs_per_window(positions, casc_pass);
 
   // Fidelity: fast-path scores vs the exact-SVD reference on this workload.
   detect::ImprovedSst exact(g);
@@ -164,17 +267,18 @@ int main(int argc, char** argv) {
                                 counters.dirty) /
                 static_cast<double>(counters.windows);
 
-  Table t({"tier", "us/window", "cores for 1M KPIs", "speedup vs cold"});
-  const auto add = [&](const char* name, double us) {
-    t.add_row({name, format_fixed(us, 1),
+  Table t({"tier", "us/window", "allocs/window", "cores for 1M KPIs",
+           "speedup vs cold"});
+  const auto add = [&](const char* name, double us, double allocs) {
+    t.add_row({name, format_fixed(us, 1), format_fixed(allocs, 2),
                std::to_string(evalkit::cores_for_kpis(us)),
                format_fixed(us_cold / us, 2) + "x"});
   };
-  add("cold", us_cold);
-  add("warm (default)", us_warm);
-  add("fast (--sst-fast --no-cascade)", us_fast);
-  add("batch x8 (IkaSstBatch)", us_batch);
-  add("cascaded (--sst-fast)", us_casc);
+  add("cold", us_cold, allocs_cold);
+  add("warm (default)", us_warm, allocs_warm);
+  add("fast (--sst-fast --no-cascade)", us_fast, allocs_fast);
+  add("batch x8 (IkaSstBatch)", us_batch, allocs_batch);
+  add("cascaded (--sst-fast)", us_casc, allocs_casc);
   std::printf("%s\n", t.to_string().c_str());
   std::printf("fidelity: corr(fast, exact SVD) = %.3f on the variable-class "
               "workload; cascade suppressed %.0f%% of windows\n",
@@ -185,35 +289,44 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot write %s\n", json_path);
     return 3;
   }
-  char buf[1024];
+  std::string env = "  \"env\": {\"sha\": " + json_string(git_sha());
+  env += ", \"build_type\": " + json_string(FUNNEL_BUILD_TYPE);
+  env += ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency());
+  env += ", \"cpu_model\": " + json_string(cpu_model());
+  env += ", \"date\": " + json_string(utc_now()) + "},\n";
+  char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
       "{\n"
+      "%s"
       "  \"workload\": {\"class\": \"variable\", \"minutes\": %zu, "
       "\"windows\": %zu},\n"
       "  \"tiers\": {\n"
-      "    \"cold\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": %llu},\n"
-      "    \"warm\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": %llu},\n"
-      "    \"fast\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": %llu},\n"
-      "    \"batch\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": "
-      "%llu},\n"
-      "    \"cascaded\": {\"us_per_window\": %.3f, \"cores_for_1m_kpis\": "
-      "%llu}\n"
+      "    \"cold\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
+      "\"cores_for_1m_kpis\": %llu},\n"
+      "    \"warm\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
+      "\"cores_for_1m_kpis\": %llu},\n"
+      "    \"fast\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
+      "\"cores_for_1m_kpis\": %llu},\n"
+      "    \"batch\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
+      "\"cores_for_1m_kpis\": %llu},\n"
+      "    \"cascaded\": {\"us_per_window\": %.3f, \"allocs_per_window\": "
+      "%.2f, \"cores_for_1m_kpis\": %llu}\n"
       "  },\n"
       "  \"speedup\": {\"warm_vs_cold\": %.2f, \"fast_vs_cold\": %.2f, "
       "\"batch_vs_cold\": %.2f, \"cascaded_vs_cold\": %.2f},\n"
       "  \"cascade\": {\"suppressed_fraction\": %.4f},\n"
       "  \"fidelity\": {\"fast_vs_exact_corr\": %.4f}\n"
       "}\n",
-      len, positions, us_cold,
+      env.c_str(), len, positions, us_cold, allocs_cold,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_cold)),
-      us_warm,
+      us_warm, allocs_warm,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_warm)),
-      us_fast,
+      us_fast, allocs_fast,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_fast)),
-      us_batch,
+      us_batch, allocs_batch,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_batch)),
-      us_casc,
+      us_casc, allocs_casc,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_casc)),
       us_cold / us_warm, us_cold / us_fast, us_cold / us_batch,
       us_cold / us_casc, suppressed_frac, corr);

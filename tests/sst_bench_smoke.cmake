@@ -1,8 +1,10 @@
 # Smoke check for the SST hot-path benchmark: runs bench/sst_hotpath in
 # --quick mode, then validates the BENCH_sst.json it emits — the file must
-# parse as JSON, carry every tier (cold/warm/fast/batch/cascaded) with
-# us_per_window + cores_for_1m_kpis, the speedup and fidelity blocks, and
-# the headline acceptance number: cascaded_vs_cold speedup >= 5.
+# parse as JSON, carry the env header (sha, build type, nproc, CPU model,
+# date), every tier (cold/warm/fast/batch/cascaded) with us_per_window +
+# allocs_per_window + cores_for_1m_kpis, the speedup and fidelity blocks,
+# and the headline acceptance number: cascaded_vs_cold speedup >= 5. The
+# default (warm) tier must make no heap allocation per window.
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<sst_hotpath> -DWORK_DIR=<scratch dir> -P sst_bench_smoke.cmake
@@ -35,8 +37,21 @@ if(windows LESS 1)
   message(FATAL_ERROR "workload.windows must be positive, got ${windows}")
 endif()
 
-# Every tier must report a positive us_per_window and a core count.
+# The env header says what machine and build measured it.
+foreach(key sha build_type nproc cpu_model date)
+  string(JSON v ERROR_VARIABLE jerr GET "${json}" env ${key})
+  if(jerr)
+    message(FATAL_ERROR "env.${key} missing: ${jerr}")
+  endif()
+endforeach()
+
+# Every tier must report a positive us_per_window, its allocations per
+# window and a core count.
 foreach(tier cold warm fast batch cascaded)
+  string(JSON allocs ERROR_VARIABLE jerr GET "${json}" tiers ${tier} allocs_per_window)
+  if(jerr)
+    message(FATAL_ERROR "tiers.${tier}.allocs_per_window missing: ${jerr}")
+  endif()
   string(JSON us ERROR_VARIABLE jerr GET "${json}" tiers ${tier} us_per_window)
   if(jerr)
     message(FATAL_ERROR "tiers.${tier}.us_per_window missing: ${jerr}")
@@ -60,6 +75,13 @@ endforeach()
 string(JSON corr ERROR_VARIABLE jerr GET "${json}" fidelity fast_vs_exact_corr)
 if(jerr)
   message(FATAL_ERROR "fidelity.fast_vs_exact_corr missing: ${jerr}")
+endif()
+
+# The default scorer works in its construction-time workspace.
+string(JSON warm_allocs GET "${json}" tiers warm allocs_per_window)
+if(NOT warm_allocs EQUAL 0)
+  message(FATAL_ERROR
+    "warm tier makes ${warm_allocs} heap allocations per window, expected 0")
 endif()
 
 # The acceptance bar: the cascaded hot path is at least 5x cheaper per
