@@ -12,6 +12,8 @@
 //             Gram applies (µs per window per KPI)
 //   cascaded  fast + pre-filter cascade (variance + raw-CUSUM gates)
 //
+// Each tier's µs/window is the median of 5 (--quick) or 7 rounds that
+// interleave all tiers, so load on a shared host cannot favour one tier.
 // Alongside the table it writes a machine-readable BENCH_sst.json
 // (--json FILE, default BENCH_sst.json) with an environment header (git
 // sha, build type, nproc, CPU model, date), per-tier µs/window, heap
@@ -187,8 +189,6 @@ int main(int argc, char** argv) {
       (void)s;
     }
   };
-  const double us_cold = measure(positions, quick ? 600 : 2000, cold_pass);
-  const double allocs_cold = allocs_per_window(positions, cold_pass);
 
   // warm: the default scorer across consecutive windows.
   detect::IkaSst warm_scorer(g);
@@ -198,8 +198,6 @@ int main(int argc, char** argv) {
       (void)s;
     }
   };
-  const double us_warm = measure(positions, min_windows, warm_pass);
-  const double allocs_warm = allocs_per_window(positions, warm_pass);
 
   // fast: warm-past + deterministic restarts.
   detect::IkaParams fast_params;
@@ -211,8 +209,6 @@ int main(int argc, char** argv) {
       (void)s;
     }
   };
-  const double us_fast = measure(positions, min_windows, fast_pass);
-  const double allocs_fast = allocs_per_window(positions, fast_pass);
 
   // batch: 8 lanes in lockstep, µs per window per KPI.
   constexpr std::size_t kLanes = 8;
@@ -233,8 +229,6 @@ int main(int argc, char** argv) {
       (void)s;
     }
   };
-  const double us_batch = measure(positions * kLanes, min_windows, batch_pass);
-  const double allocs_batch = allocs_per_window(positions * kLanes, batch_pass);
 
   // cascaded: fast scorer behind the pre-filter gates.
   detect::IkaSst casc_scorer(g, fast_params);
@@ -249,8 +243,32 @@ int main(int argc, char** argv) {
     volatile double s = scores.empty() ? 0.0 : scores.back();
     (void)s;
   };
-  const double us_casc = measure(positions, min_windows, casc_pass);
-  // Whole-series call: includes its output vector and gate scratch.
+
+  // Timing: every tier once per round, rounds interleaved, so a burst of
+  // load on a shared host lands on all tiers alike; a tier's µs/window is
+  // the median of its rounds.
+  const int rounds = quick ? 5 : 7;
+  std::vector<double> r_cold, r_warm, r_fast, r_batch, r_casc;
+  for (int r = 0; r < rounds; ++r) {
+    r_cold.push_back(measure(positions, quick ? 600 : 2000, cold_pass));
+    r_warm.push_back(measure(positions, min_windows, warm_pass));
+    r_fast.push_back(measure(positions, min_windows, fast_pass));
+    r_batch.push_back(measure(positions * kLanes, min_windows, batch_pass));
+    r_casc.push_back(measure(positions, min_windows, casc_pass));
+  }
+  const double us_cold = median(r_cold);
+  const double us_warm = median(r_warm);
+  const double us_fast = median(r_fast);
+  const double us_batch = median(r_batch);
+  const double us_casc = median(r_casc);
+
+  // Heap allocations per window over one more pass of each (now warm)
+  // tier; the cascaded pass is a whole-series call, so it includes its
+  // output vector and gate scratch.
+  const double allocs_cold = allocs_per_window(positions, cold_pass);
+  const double allocs_warm = allocs_per_window(positions, warm_pass);
+  const double allocs_fast = allocs_per_window(positions, fast_pass);
+  const double allocs_batch = allocs_per_window(positions * kLanes, batch_pass);
   const double allocs_casc = allocs_per_window(positions, casc_pass);
 
   // Fidelity: fast-path scores vs the exact-SVD reference on this workload.
@@ -300,7 +318,7 @@ int main(int argc, char** argv) {
       "{\n"
       "%s"
       "  \"workload\": {\"class\": \"variable\", \"minutes\": %zu, "
-      "\"windows\": %zu},\n"
+      "\"windows\": %zu, \"rounds\": %d},\n"
       "  \"tiers\": {\n"
       "    \"cold\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
       "\"cores_for_1m_kpis\": %llu},\n"
@@ -318,7 +336,7 @@ int main(int argc, char** argv) {
       "  \"cascade\": {\"suppressed_fraction\": %.4f},\n"
       "  \"fidelity\": {\"fast_vs_exact_corr\": %.4f}\n"
       "}\n",
-      env.c_str(), len, positions, us_cold, allocs_cold,
+      env.c_str(), len, positions, rounds, us_cold, allocs_cold,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_cold)),
       us_warm, allocs_warm,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_warm)),

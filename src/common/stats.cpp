@@ -26,8 +26,46 @@ double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 namespace {
 
+// Ranges up to this length take small_median below.
+constexpr std::size_t kSmallMedian = 32;
+
+// Median of a short range by rank counting: element i's rank is the number
+// of elements ordered before it by (value, index), so the ranks are a
+// permutation and the elements of rank n/2 (and n/2 - 1) are the order
+// statistics nth_element would find. The inner loops are branch-free, so
+// the cost does not hinge on predicting the data the way nth_element's
+// partitioning does. Returns false when a NaN (ranks are no permutation)
+// or a -0.0 (which ties with +0.0, so the bits returned would depend on the
+// algorithm) is present; the caller then uses nth_element.
+bool small_median(std::span<const double> xs, double& out) {
+  const std::size_t n = xs.size();
+  bool plain = true;
+  for (double x : xs) plain &= !std::isnan(x) && !(x == 0.0 && std::signbit(x));
+  if (!plain) return false;
+  const std::size_t mid = n / 2;
+  std::size_t wanted = n % 2 == 1 ? 1 : 2;
+  double lo = 0.0, hi = 0.0;
+  for (std::size_t i = 0; i < n && wanted > 0; ++i) {
+    const double xi = xs[i];
+    std::size_t rank = 0;
+    for (std::size_t j = 0; j < i; ++j) rank += xs[j] <= xi ? 1 : 0;
+    for (std::size_t j = i + 1; j < n; ++j) rank += xs[j] < xi ? 1 : 0;
+    if (rank == mid) {
+      hi = xi;
+      --wanted;
+    } else if (n % 2 == 0 && rank + 1 == mid) {
+      lo = xi;
+      --wanted;
+    }
+  }
+  out = n % 2 == 1 ? hi : 0.5 * (lo + hi);
+  return true;
+}
+
 // Median of `buf`, reordering it.
 double median_in_place(std::span<double> buf) {
+  double small = 0.0;
+  if (buf.size() <= kSmallMedian && small_median(buf, small)) return small;
   const std::size_t mid = buf.size() / 2;
   std::nth_element(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(mid), buf.end());
   double hi = buf[mid];
@@ -41,6 +79,8 @@ double median_in_place(std::span<double> buf) {
 double median(std::span<const double> xs, std::span<double> work) {
   FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
   FUNNEL_REQUIRE(work.size() >= xs.size(), "median work buffer too small");
+  double small = 0.0;
+  if (xs.size() <= kSmallMedian && small_median(xs, small)) return small;
   const std::span<double> buf = work.first(xs.size());
   std::copy(xs.begin(), xs.end(), buf.begin());
   return median_in_place(buf);
