@@ -254,21 +254,27 @@ void FunnelOnline::handle_sample(const tsdb::MetricId& id, MinuteTime t,
           }
         }
         feed_detector(change, mw, value);
-        if (mw.pending_determination) try_determination(watch, mw, t);
+        if (mw.pending_determination && mw.did_blocker.kpi.empty()) {
+          try_determination(watch, mw, t);
+        }
       } else if (config_.stats != nullptr) {
         config_.stats->add("funnel.online.stale_samples_skipped");
       }
     }
     if (t >= watch.deadline) finished.push_back(cid);
   }
-  // A control series catching up can complete a waiting determination's
-  // inputs; this sample may be the one that does.
+  // A waiting determination's inputs can only complete when a sample of
+  // the series that held it back arrives: re-check just those (and any
+  // restored from a snapshot, which name no series yet).
   if (awaiting_inputs_) {
     awaiting_inputs_ = false;
     for (auto& [cid, watch] : watches_) {
       for (auto& [metric, mw] : watch.metrics) {
-        if (mw.pending_determination && mw.did_post > 0) {
+        if (!mw.pending_determination || mw.did_post == 0) continue;
+        if (mw.did_blocker.kpi.empty() || mw.did_blocker == id) {
           try_determination(watch, mw, t);
+        } else {
+          awaiting_inputs_ = true;
         }
       }
     }
@@ -326,7 +332,7 @@ void FunnelOnline::try_determination(ChangeWatch& watch, MetricWatch& mw,
 }
 
 bool FunnelOnline::did_inputs_complete(const ChangeWatch& watch,
-                                       const MetricWatch& mw) const {
+                                       MetricWatch& mw) const {
   // The historical path reads only the KPI's own series, which the feed
   // has delivered through the current minute.
   if (is_affected_service_metric(watch.set, mw.metric) ||
@@ -343,7 +349,10 @@ bool FunnelOnline::did_inputs_complete(const ChangeWatch& watch,
       store_.read_if(id, [&](const tsdb::TimeSeries& s) {
         behind = s.end_time() < post_end;
       });
-      if (behind) return false;
+      if (behind) {
+        mw.did_blocker = id;
+        return false;
+      }
     }
     return true;
   };

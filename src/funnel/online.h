@@ -143,6 +143,9 @@ class FunnelOnline {
     /// treated minute with at least min_did_window post-change minutes, so
     /// it depends on the treated feed only. 0 until then.
     MinuteTime did_post = 0;
+    /// A series the determination found behind its post window; only a
+    /// sample of it can complete the inputs. Empty until checked.
+    tsdb::MetricId did_blocker;
     /// First minute the detector consumed (priming start).
     MinuteTime fed_start = 0;
     /// Every value the detector consumed, in order (primed history, live
@@ -185,8 +188,8 @@ class FunnelOnline {
   /// True when every treated/control series the dark-launch DiD for `mw`
   /// would read already holds data through the end of its post window, so
   /// the fit no longer depends on how far the feed has been delivered.
-  bool did_inputs_complete(const ChangeWatch& watch,
-                           const MetricWatch& mw) const;
+  /// Otherwise records the first series still behind in mw.did_blocker.
+  bool did_inputs_complete(const ChangeWatch& watch, MetricWatch& mw) const;
   void finalize(changes::ChangeId id, bool timed_out = false);
 
   /// Stamp the confirming minute on the verdict and record the online
