@@ -1,6 +1,7 @@
 // Unit and property tests for the shared descriptive statistics.
 #include "common/stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -51,6 +52,39 @@ TEST(Median, RobustToOneOutlier) {
   std::vector<double> xs(21, 10.0);
   xs[0] = 1e9;
   EXPECT_DOUBLE_EQ(median(xs), 10.0);
+}
+
+// Short ranges take a rank-counting selection, longer ones nth_element;
+// both must return the order statistics a full sort gives, ties included.
+TEST(Median, MatchesSortedOrderStatisticsAcrossSizesAndTies) {
+  Rng rng(17);
+  std::vector<double> work(64);
+  for (std::size_t n = 1; n <= 48; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        // Half the trials draw from a handful of values: many ties.
+        x = trial % 2 == 0 ? rng.gaussian(0.0, 3.0)
+                           : static_cast<double>(rng.uniform_int(-2, 2));
+      }
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      const double want = n % 2 == 1
+                              ? sorted[n / 2]
+                              : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+      EXPECT_EQ(median(xs, work), want) << "n=" << n;
+      EXPECT_EQ(median(xs), want) << "n=" << n;
+      std::vector<double> dev(n);
+      for (std::size_t i = 0; i < n; ++i) dev[i] = std::abs(xs[i] - want);
+      std::sort(dev.begin(), dev.end());
+      const double want_mad =
+          n % 2 == 1 ? dev[n / 2] : 0.5 * (dev[n / 2 - 1] + dev[n / 2]);
+      EXPECT_EQ(mad(xs, want, work), want_mad) << "n=" << n;
+      EXPECT_EQ(mad(xs, work), want_mad) << "n=" << n;
+    }
+  }
+  // A -0.0 ties with +0.0; the value is zero either way.
+  EXPECT_EQ(median(std::vector<double>{-0.0, 0.0, 1.0}), 0.0);
 }
 
 TEST(Mad, KnownValues) {
