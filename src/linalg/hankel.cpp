@@ -88,10 +88,6 @@ void HankelGramOperator::apply_block_reference(std::span<const double> x,
 void HankelGramOperator::apply_block(std::span<const double> x,
                                      std::span<double> y, std::size_t cols,
                                      std::span<double> scratch) const {
-#if defined(FUNNEL_SST_SCALAR_KERNELS)
-  (void)scratch;
-  apply_block_reference(x, y, cols);
-#else
   FUNNEL_REQUIRE(x.size() >= omega_ * cols && y.size() >= omega_ * cols,
                  "apply_block operand too small");
   FUNNEL_REQUIRE(scratch.size() >= count_ * cols,
@@ -106,7 +102,6 @@ void HankelGramOperator::apply_block(std::span<const double> x,
     correlate(window_.data(), scratch.data() + b, y.data() + b, omega_, count_,
               cols);
   }
-#endif
 }
 
 BatchHankelGram::BatchHankelGram(std::span<const double> windows,

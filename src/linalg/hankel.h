@@ -61,10 +61,8 @@ class HankelGramOperator final : public LinearOperator {
   void apply_block(std::span<const double> x, std::span<double> y,
                    std::size_t cols, std::span<double> scratch) const;
 
-  /// Reference implementation of apply_block: column-at-a-time apply().
-  /// Compile with -DFUNNEL_SST_SCALAR_KERNELS to dispatch apply_block to
-  /// this path everywhere (bit-identical either way; the macro exists so
-  /// the batched kernel can be excluded when chasing a miscompilation).
+  /// Reference implementation of apply_block: column-at-a-time apply()
+  /// on copied columns. Tests compare apply_block against it.
   void apply_block_reference(std::span<const double> x, std::span<double> y,
                              std::size_t cols) const;
 
