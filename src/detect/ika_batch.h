@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "detect/ika_sst.h"
+#include "detect/sst_internal.h"
 
 namespace funnel::detect {
 

@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/error.h"
+#include "detect/sst_internal.h"
+#include "linalg/hankel.h"
+#include "linalg/lanczos.h"
+#include "linalg/tridiag.h"
 
 namespace funnel::detect {
 namespace {
@@ -55,10 +60,33 @@ const SstGeometry& checked(const SstGeometry& geo, const IkaParams& params) {
   return geo;
 }
 
-}  // namespace
+// Every buffer score() touches, sized from the geometry. It carries nothing
+// from one window to the next, so all scorers on a thread share one
+// (workspace_for): per-scorer copies would cost a few KB each, and an
+// online assessor keeps a scorer per watched KPI.
+struct Workspace {
+  explicit Workspace(const SstGeometry& geo);
+  std::size_t omega;
+  std::size_t eta;
+  WindowScratch window;  ///< standardized window + median/MAD buffer
+  linalg::HankelGramOperator past_op;
+  linalg::HankelGramOperator future_op;
+  linalg::Matrix y;        ///< omega x eta, C·B
+  linalg::Vector block;    ///< apply_block scratch
+  linalg::Vector lambdas;  ///< future Ritz values
+  linalg::Vector mus;      ///< past Ritz values (fast path)
+  internal::RitzWorkspace ritz;
+  linalg::Vector beta;  ///< one future direction
+  linalg::LanczosWorkspace lanczos;
+  linalg::Tridiagonal tk;  ///< T_k of the past operator
+  linalg::TridiagWorkspace ql;
+  linalg::SymEigen tk_eigen;
+};
 
-IkaSst::Workspace::Workspace(const SstGeometry& geo)
-    : window(geo.window()),
+Workspace::Workspace(const SstGeometry& geo)
+    : omega(geo.omega),
+      eta(geo.eta),
+      window(geo.window()),
       past_op(linalg::Vector(geo.half(), 0.0), geo.omega, geo.omega),
       future_op(linalg::Vector(geo.half(), 0.0), geo.omega, geo.omega),
       y(geo.omega, geo.eta),
@@ -84,13 +112,25 @@ IkaSst::Workspace::Workspace(const SstGeometry& geo)
   tk_eigen.vectors.resize(k, k);
 }
 
+// This thread's workspace, rebuilt only when the thread moves on to a
+// scorer of another geometry.
+Workspace& workspace_for(const SstGeometry& geo) {
+  thread_local std::unique_ptr<Workspace> ws;
+  if (ws == nullptr || ws->omega != geo.omega || ws->eta != geo.eta) {
+    ws = std::make_unique<Workspace>(geo);
+  }
+  return *ws;
+}
+
+}  // namespace
+
 IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
-    : geo_(checked(geometry, params)), params_(params), ws_(geo_) {}
+    : geo_(checked(geometry, params)), params_(params) {}
 
 double IkaSst::score(std::span<const double> window) {
   FUNNEL_REQUIRE(window.size() == geo_.window(),
                  "IkaSst window size mismatch");
-  Workspace& ws = ws_;
+  Workspace& ws = workspace_for(geo_);
   if (!standardize_window(window, geo_.half(), ws.window.z, ws.window.work)) {
     return std::numeric_limits<double>::quiet_NaN();
   }

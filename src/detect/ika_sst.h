@@ -28,11 +28,7 @@
 
 #include "detect/scorer.h"
 #include "detect/sst_common.h"
-#include "detect/sst_internal.h"
-#include "linalg/hankel.h"
-#include "linalg/lanczos.h"
 #include "linalg/matrix.h"
-#include "linalg/tridiag.h"
 
 namespace funnel::detect {
 
@@ -99,31 +95,10 @@ class IkaSst final : public ChangeScorer {
   std::uint64_t escalations() const { return escalations_; }
 
  private:
-  /// Every buffer score() touches, sized from the geometry at
-  /// construction: after the first window, scoring makes no heap
-  /// allocation. Holds no state between windows beyond its capacity.
-  struct Workspace {
-    explicit Workspace(const SstGeometry& geo);
-    WindowScratch window;               ///< standardized window + MAD buffer
-    linalg::HankelGramOperator past_op;
-    linalg::HankelGramOperator future_op;
-    linalg::Matrix y;                   ///< omega x eta, C·B
-    linalg::Vector block;               ///< apply_block scratch
-    linalg::Vector lambdas;             ///< future Ritz values
-    linalg::Vector mus;                 ///< past Ritz values (fast path)
-    internal::RitzWorkspace ritz;
-    linalg::Vector beta;                ///< one future direction
-    linalg::LanczosWorkspace lanczos;
-    linalg::Tridiagonal tk;             ///< T_k of the past operator
-    linalg::TridiagWorkspace ql;
-    linalg::SymEigen tk_eigen;
-  };
-
   SstGeometry geo_;
   IkaParams params_;
   linalg::Matrix future_basis_;  ///< omega x eta, persisted across windows
   linalg::Matrix past_basis_;    ///< omega x eta, fast path only
-  Workspace ws_;
   bool warm_ = false;
   bool past_warm_ = false;
   int windows_since_restart_ = 0;
