@@ -19,12 +19,11 @@ using internal::seed_basis;
 // One or more block power sweeps with Rayleigh-Ritz extraction:
 // B <- orth((C B) Q) with Q the eigenvectors of T = Bᵀ C B. Writes the Ritz
 // values (estimates of C's leading eigenvalues, non-increasing) into
-// `lambdas`. The C·B product runs through the batched Hankel kernel —
-// bit-identical to column-at-a-time applies, just one strided pass — into
-// `y`, with `block` as its scratch. When `residual` is non-null, one extra
-// apply against the final basis fills it with the squared Ritz residual
-// (the warm-start escalation signal); the extra apply never perturbs basis
-// or lambdas.
+// `lambdas`. The C·B product runs through apply_block — bit-identical to
+// column-at-a-time applies — into `y`, with `block` as its scratch. When
+// `residual` is non-null, one extra apply against the final basis fills it
+// with the squared Ritz residual (the warm-start escalation signal); the
+// extra apply never perturbs basis or lambdas.
 struct RitzResidual {
   double res2 = 0.0;
   double scale = 0.0;  ///< leading Rayleigh quotient
@@ -44,20 +43,6 @@ void ritz_iterate(const linalg::HankelGramOperator& op, linalg::Matrix& basis,
     op.apply_block(basis.data(), y.data(), eta, block);
     residual->res2 = internal::ritz_residual2(basis, y, residual->scale);
   }
-}
-
-// Validated before the workspace is sized from it.
-const SstGeometry& checked(const SstGeometry& geo, const IkaParams& params) {
-  FUNNEL_REQUIRE(geo.omega >= 2, "SST needs omega >= 2");
-  FUNNEL_REQUIRE(geo.eta >= 1 && geo.eta < geo.omega,
-                 "SST needs 1 <= eta < omega");
-  FUNNEL_REQUIRE(geo.krylov_k() <= geo.omega,
-                 "Krylov dimension k must not exceed omega");
-  FUNNEL_REQUIRE(params.cold_iterations >= 1 && params.warm_iterations >= 1,
-                 "iteration counts must be positive");
-  FUNNEL_REQUIRE(params.restart_period >= 1,
-                 "restart period must be positive");
-  return geo;
 }
 
 // Every buffer score() touches, sized from the geometry. It carries nothing
@@ -125,7 +110,17 @@ Workspace& workspace_for(const SstGeometry& geo) {
 }  // namespace
 
 IkaSst::IkaSst(SstGeometry geometry, IkaParams params)
-    : geo_(checked(geometry, params)), params_(params) {}
+    : geo_(geometry), params_(params) {
+  FUNNEL_REQUIRE(geo_.omega >= 2, "SST needs omega >= 2");
+  FUNNEL_REQUIRE(geo_.eta >= 1 && geo_.eta < geo_.omega,
+                 "SST needs 1 <= eta < omega");
+  FUNNEL_REQUIRE(geo_.krylov_k() <= geo_.omega,
+                 "Krylov dimension k must not exceed omega");
+  FUNNEL_REQUIRE(params_.cold_iterations >= 1 && params_.warm_iterations >= 1,
+                 "iteration counts must be positive");
+  FUNNEL_REQUIRE(params_.restart_period >= 1,
+                 "restart period must be positive");
+}
 
 double IkaSst::score(std::span<const double> window) {
   FUNNEL_REQUIRE(window.size() == geo_.window(),
