@@ -79,8 +79,6 @@ double median_in_place(std::span<double> buf) {
 double median(std::span<const double> xs, std::span<double> work) {
   FUNNEL_REQUIRE(!xs.empty(), "median of empty range");
   FUNNEL_REQUIRE(work.size() >= xs.size(), "median work buffer too small");
-  double small = 0.0;
-  if (xs.size() <= kSmallMedian && small_median(xs, small)) return small;
   const std::span<double> buf = work.first(xs.size());
   std::copy(xs.begin(), xs.end(), buf.begin());
   return median_in_place(buf);
