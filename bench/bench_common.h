@@ -108,19 +108,13 @@ inline bool stats_arg(int argc, char** argv) {
   return false;
 }
 
-/// `--sst-fast` / `--no-cascade`, with the same semantics as the tools:
-/// --sst-fast switches the assessment onto the SST hot path (warm-start
-/// fast scorer + pre-filter cascade); --no-cascade keeps the fast scorer
-/// but scores every window.
-inline void apply_sst_args(core::FunnelConfig& cfg, int argc, char** argv) {
+/// `--cascade`: put the pre-filter cascade in front of the IKA-SST scorer
+/// (FunnelConfig::sst_cascade), as the tools' flag of the same name does.
+inline bool cascade_arg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sst-fast") == 0) {
-      cfg.sst_fast = true;
-      cfg.sst_cascade = true;
-    } else if (std::strcmp(argv[i], "--no-cascade") == 0) {
-      cfg.sst_cascade = false;
-    }
+    if (std::strcmp(argv[i], "--cascade") == 0) return true;
   }
+  return false;
 }
 
 /// `--stats-json FILE`: write the telemetry snapshot as JSON.

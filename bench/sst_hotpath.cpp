@@ -1,16 +1,13 @@
-// SST hot-path micro-benchmark — µs/window for every tier of the fast
-// path, on the Table 2 workload (variable-class KPI, the hardest: no
+// SST hot-path micro-benchmark — µs/window for every tier of the IKA-SST
+// scorer, on the Table 2 workload (variable-class KPI, the hardest: no
 // early-outs anywhere).
 //
 // Tiers:
 //   cold      reset() before every window — the naive per-window cost a
 //             stateless deployment would pay (30 power sweeps + Lanczos)
 //   warm      the default scorer: future basis warm-started across windows
-//   fast      --sst-fast: past subspace warm-started too, deterministic
-//             restarts (IkaParams::warm_past)
-//   batch     IkaSstBatch: 8 KPI lanes scored lockstep, fused Hankel
-//             Gram applies (µs per window per KPI)
-//   cascaded  fast + pre-filter cascade (variance + raw-CUSUM gates)
+//   cascaded  warm + pre-filter cascade (variance + raw-CUSUM gates),
+//             i.e. --cascade
 //
 // Each tier's µs/window is the median of 5 (--quick) or 7 rounds that
 // interleave all tiers, so load on a shared host cannot favour one tier.
@@ -18,7 +15,7 @@
 // (--json FILE, default BENCH_sst.json) with an environment header (git
 // sha, build type, nproc, CPU model, date), per-tier µs/window, heap
 // allocations per window, derived million-KPI core counts, the speedups vs
-// cold, and the fast-vs-exact score correlation.
+// cold, and the warm-vs-exact score correlation.
 // tests/sst_bench_smoke.cmake validates the JSON shape and asserts the
 // cascaded tier is ≥ 5x cheaper than cold.
 #include <chrono>
@@ -40,7 +37,6 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "detect/cascade.h"
-#include "detect/ika_batch.h"
 #include "detect/ika_sst.h"
 #include "detect/improved_sst.h"
 #include "detect/sliding.h"
@@ -170,7 +166,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
   }
-  bench::print_header("SST hot path: cold vs warm vs fast vs cascaded");
+  bench::print_header("SST hot path: cold vs warm vs cascaded");
 
   const detect::SstGeometry g{.omega = 9, .eta = 3};
   const std::size_t len = 600;
@@ -199,39 +195,8 @@ int main(int argc, char** argv) {
     }
   };
 
-  // fast: warm-past + deterministic restarts.
-  detect::IkaParams fast_params;
-  fast_params.warm_past = true;
-  detect::IkaSst fast_scorer(g, fast_params);
-  const auto fast_pass = [&] {
-    for (std::size_t i = 0; i < positions; ++i) {
-      volatile double s = fast_scorer.score(span.subspan(i, w));
-      (void)s;
-    }
-  };
-
-  // batch: 8 lanes in lockstep, µs per window per KPI.
-  constexpr std::size_t kLanes = 8;
-  std::vector<std::vector<double>> fleet;
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    fleet.push_back(bench_series(len, 200 + k));
-  }
-  detect::IkaSstBatch batch(kLanes, g, fast_params);
-  std::vector<double> packed(kLanes * w), batch_out(kLanes);
-  const auto batch_pass = [&] {
-    for (std::size_t i = 0; i < positions; ++i) {
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        std::memcpy(packed.data() + k * w, fleet[k].data() + i,
-                    w * sizeof(double));
-      }
-      batch.score_all(packed, batch_out);
-      volatile double s = batch_out[0];
-      (void)s;
-    }
-  };
-
-  // cascaded: fast scorer behind the pre-filter gates.
-  detect::IkaSst casc_scorer(g, fast_params);
+  // cascaded: the default scorer behind the pre-filter gates.
+  detect::IkaSst casc_scorer(g);
   detect::CascadeConfig cc;
   cc.sst_threshold = 0.22;  // library-default alarm threshold
   detect::CascadeCounters counters;
@@ -248,18 +213,14 @@ int main(int argc, char** argv) {
   // load on a shared host lands on all tiers alike; a tier's µs/window is
   // the median of its rounds.
   const int rounds = quick ? 5 : 7;
-  std::vector<double> r_cold, r_warm, r_fast, r_batch, r_casc;
+  std::vector<double> r_cold, r_warm, r_casc;
   for (int r = 0; r < rounds; ++r) {
     r_cold.push_back(measure(positions, quick ? 600 : 2000, cold_pass));
     r_warm.push_back(measure(positions, min_windows, warm_pass));
-    r_fast.push_back(measure(positions, min_windows, fast_pass));
-    r_batch.push_back(measure(positions * kLanes, min_windows, batch_pass));
     r_casc.push_back(measure(positions, min_windows, casc_pass));
   }
   const double us_cold = median(r_cold);
   const double us_warm = median(r_warm);
-  const double us_fast = median(r_fast);
-  const double us_batch = median(r_batch);
   const double us_casc = median(r_casc);
 
   // Heap allocations per window over one more pass of each (now warm)
@@ -267,16 +228,14 @@ int main(int argc, char** argv) {
   // output vector and gate scratch.
   const double allocs_cold = allocs_per_window(positions, cold_pass);
   const double allocs_warm = allocs_per_window(positions, warm_pass);
-  const double allocs_fast = allocs_per_window(positions, fast_pass);
-  const double allocs_batch = allocs_per_window(positions * kLanes, batch_pass);
   const double allocs_casc = allocs_per_window(positions, casc_pass);
 
-  // Fidelity: fast-path scores vs the exact-SVD reference on this workload.
+  // Fidelity: warm scores vs the exact-SVD reference on this workload.
   detect::ImprovedSst exact(g);
-  detect::IkaSst fast_fresh(g, fast_params);
+  detect::IkaSst warm_fresh(g);
   const auto se = detect::score_series(exact, series);
-  const auto sf = detect::score_series(fast_fresh, series);
-  const double corr = correlation(se, sf);
+  const auto sw = detect::score_series(warm_fresh, series);
+  const double corr = correlation(se, sw);
 
   const double suppressed_frac =
       counters.windows == 0
@@ -294,11 +253,9 @@ int main(int argc, char** argv) {
   };
   add("cold", us_cold, allocs_cold);
   add("warm (default)", us_warm, allocs_warm);
-  add("fast (--sst-fast --no-cascade)", us_fast, allocs_fast);
-  add("batch x8 (IkaSstBatch)", us_batch, allocs_batch);
-  add("cascaded (--sst-fast)", us_casc, allocs_casc);
+  add("cascaded (--cascade)", us_casc, allocs_casc);
   std::printf("%s\n", t.to_string().c_str());
-  std::printf("fidelity: corr(fast, exact SVD) = %.3f on the variable-class "
+  std::printf("fidelity: corr(warm, exact SVD) = %.3f on the variable-class "
               "workload; cascade suppressed %.0f%% of windows\n",
               corr, 100.0 * suppressed_frac);
 
@@ -324,30 +281,20 @@ int main(int argc, char** argv) {
       "\"cores_for_1m_kpis\": %llu},\n"
       "    \"warm\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
       "\"cores_for_1m_kpis\": %llu},\n"
-      "    \"fast\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
-      "\"cores_for_1m_kpis\": %llu},\n"
-      "    \"batch\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
-      "\"cores_for_1m_kpis\": %llu},\n"
       "    \"cascaded\": {\"us_per_window\": %.3f, \"allocs_per_window\": "
       "%.2f, \"cores_for_1m_kpis\": %llu}\n"
       "  },\n"
-      "  \"speedup\": {\"warm_vs_cold\": %.2f, \"fast_vs_cold\": %.2f, "
-      "\"batch_vs_cold\": %.2f, \"cascaded_vs_cold\": %.2f},\n"
+      "  \"speedup\": {\"warm_vs_cold\": %.2f, \"cascaded_vs_cold\": %.2f},\n"
       "  \"cascade\": {\"suppressed_fraction\": %.4f},\n"
-      "  \"fidelity\": {\"fast_vs_exact_corr\": %.4f}\n"
+      "  \"fidelity\": {\"warm_vs_exact_corr\": %.4f}\n"
       "}\n",
       env.c_str(), len, positions, rounds, us_cold, allocs_cold,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_cold)),
       us_warm, allocs_warm,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_warm)),
-      us_fast, allocs_fast,
-      static_cast<unsigned long long>(evalkit::cores_for_kpis(us_fast)),
-      us_batch, allocs_batch,
-      static_cast<unsigned long long>(evalkit::cores_for_kpis(us_batch)),
       us_casc, allocs_casc,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_casc)),
-      us_cold / us_warm, us_cold / us_fast, us_cold / us_batch,
-      us_cold / us_casc, suppressed_frac, corr);
+      us_cold / us_warm, us_cold / us_casc, suppressed_frac, corr);
   out << buf;
   std::fprintf(stderr, "# wrote %s\n", json_path);
   return 0;

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -42,8 +43,8 @@ std::vector<double> bench_series(std::size_t len) {
 }
 
 template <typename Scorer, typename... Args>
-void run_scorer(benchmark::State& state, Args... args) {
-  Scorer scorer(args...);
+void run_scorer(benchmark::State& state, Args&&... args) {
+  Scorer scorer(std::forward<Args>(args)...);
   const std::vector<double> series = bench_series(600);
   const std::size_t w = scorer.window_size();
   std::size_t i = 0;
@@ -60,34 +61,14 @@ void BM_FunnelIkaSst(benchmark::State& state) {
 }
 BENCHMARK(BM_FunnelIkaSst);
 
-detect::IkaParams fast_params() {
-  detect::IkaParams p;
-  p.warm_past = true;
-  return p;
-}
-
-void BM_FunnelIkaSstFast(benchmark::State& state) {
-  run_scorer<detect::IkaSst>(state, detect::SstGeometry{.omega = 9, .eta = 3},
-                             fast_params());
-}
-BENCHMARK(BM_FunnelIkaSstFast);
-
-void BM_FunnelCascadedFast(benchmark::State& state) {
-  detect::CascadeGate scorer(
+void BM_FunnelCascaded(benchmark::State& state) {
+  run_scorer<detect::CascadeGate>(
+      state,
       std::make_unique<detect::IkaSst>(
-          detect::SstGeometry{.omega = 9, .eta = 3}, fast_params()),
+          detect::SstGeometry{.omega = 9, .eta = 3}),
       detect::CascadeConfig{});
-  const std::vector<double> series = bench_series(600);
-  const std::size_t w = scorer.window_size();
-  std::size_t i = 0;
-  const std::size_t positions = series.size() - w + 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scorer.score(std::span<const double>(series).subspan(i, w)));
-    i = (i + 1) % positions;
-  }
 }
-BENCHMARK(BM_FunnelCascadedFast);
+BENCHMARK(BM_FunnelCascaded);
 
 void BM_ImprovedSstExact(benchmark::State& state) {
   run_scorer<detect::ImprovedSst>(state,
@@ -152,18 +133,10 @@ void print_summary_table() {
                     {"-", 0.0, 0}});
   }
   {
-    detect::IkaSst s(detect::SstGeometry{.omega = 9, .eta = 3},
-                     fast_params());
-    rows.push_back({"FUNNEL fast (--sst-fast)",
-                    evalkit::mean_score_micros(s, series, 4000),
-                    {"-", 0.0, 0}});
-  }
-  {
-    detect::CascadeGate s(
-        std::make_unique<detect::IkaSst>(
-            detect::SstGeometry{.omega = 9, .eta = 3}, fast_params()),
-        detect::CascadeConfig{});
-    rows.push_back({"FUNNEL cascaded (--sst-fast)",
+    detect::CascadeGate s(std::make_unique<detect::IkaSst>(
+                              detect::SstGeometry{.omega = 9, .eta = 3}),
+                          detect::CascadeConfig{});
+    rows.push_back({"FUNNEL cascaded (--cascade)",
                     evalkit::mean_score_micros(s, series, 4000),
                     {"-", 0.0, 0}});
   }

@@ -8,6 +8,8 @@
 #     using GitHub's slug rules (lowercase, punctuation stripped, spaces to
 #     dashes).
 # External http(s) links are skipped — no network in the test environment.
+# The same job then runs check_doc_routes.cmake: the HTTP routes the docs
+# name must be the routes the code registers.
 #
 # Invoked by ctest as:
 #   cmake -DREPO_DIR=<source dir> -P check_doc_links.cmake
@@ -123,3 +125,5 @@ if(errors GREATER 0)
   message(FATAL_ERROR "docs link check: ${errors} broken link(s)")
 endif()
 message(STATUS "docs link check OK (${n_docs} files scanned)")
+
+include("${CMAKE_CURRENT_LIST_DIR}/check_doc_routes.cmake")

@@ -126,7 +126,6 @@ class CascadeGate final : public ChangeScorer {
   double score(std::span<const double> window) override;
   const char* name() const override { return "funnel-ika-sst+cascade"; }
 
-  IkaSst& inner() { return *inner_; }
   GateDecision last_decision() const { return last_decision_; }
   void reset() { inner_->reset(); }
 

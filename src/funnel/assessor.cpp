@@ -119,7 +119,7 @@ AssessmentReport Funnel::assess(changes::ChangeId id) const {
   if (trace_span.active()) trace_span.attr("impact.kpis", metrics.size());
   report.items.resize(metrics.size());
   if (pool_ == nullptr || metrics.size() < 2) {
-    detect::IkaSst scorer(config_.geometry, sst_params(config_));
+    detect::IkaSst scorer(config_.geometry);
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       report.items[i] =
           assess_metric_with(scorer, change, report.impact_set, metrics[i]);
@@ -128,8 +128,8 @@ AssessmentReport Funnel::assess(changes::ChangeId id) const {
     // One scorer per execution slot: the warm-start basis stays
     // thread-local, and assess_metric_with resets it before every KPI so a
     // slot's previous stream never bleeds into the next score.
-    std::vector<detect::IkaSst> scorers(
-        pool_->slots(), detect::IkaSst(config_.geometry, sst_params(config_)));
+    std::vector<detect::IkaSst> scorers(pool_->slots(),
+                                        detect::IkaSst(config_.geometry));
     pool_->parallel_for(
         0, metrics.size(), [&](std::size_t i, std::size_t slot) {
           report.items[i] = assess_metric_with(scorers[slot], change,
@@ -184,7 +184,7 @@ std::vector<AssessmentReport> Funnel::assess_window(MinuteTime t0,
 ItemVerdict Funnel::assess_metric(const changes::SoftwareChange& change,
                                   const ImpactSet& set,
                                   const tsdb::MetricId& metric) const {
-  detect::IkaSst scorer(config_.geometry, sst_params(config_));
+  detect::IkaSst scorer(config_.geometry);
   return assess_metric_with(scorer, change, set, metric);
 }
 
@@ -255,11 +255,6 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
   std::vector<detect::GateDecision> decisions;
   {
     const obs::ScopedTimer span(config_.stats, "funnel.assess.sst_us");
-    // The scorer's restart/escalation counters are lifetime totals (pool
-    // slots reuse scorers across KPIs); diff around this KPI's scoring to
-    // attribute the events to the pipeline counters.
-    const std::uint64_t restarts_before = scorer.cold_restarts();
-    const std::uint64_t escalations_before = scorer.escalations();
     if (config_.sst_cascade) {
       // The gates must respect the live alarm policy: a window they
       // suppress has to be provably (stage 0) or plausibly (stage 1) unable
@@ -292,17 +287,6 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
       }
     } else {
       scores = detect::score_series(scorer, slice);
-    }
-    if (config_.stats != nullptr) {
-      const std::uint64_t restarts = scorer.cold_restarts() - restarts_before;
-      const std::uint64_t escalations =
-          scorer.escalations() - escalations_before;
-      if (restarts > 0) {
-        config_.stats->add("funnel.sst.cold_restarts", restarts);
-      }
-      if (escalations > 0) {
-        config_.stats->add("funnel.sst.escalations", escalations);
-      }
     }
     alarms = detect::all_alarms(scores, scorer.window_size(), t0,
                                 config_.alarm);

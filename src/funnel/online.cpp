@@ -183,8 +183,7 @@ FunnelOnline::MetricWatch FunnelOnline::make_metric_watch(
   MetricWatch mw;
   mw.metric = metric;
   mw.verdict.metric = metric;
-  auto scorer = std::make_unique<detect::IkaSst>(config_.geometry,
-                                                 sst_params(config_));
+  auto scorer = std::make_unique<detect::IkaSst>(config_.geometry);
   detect::ChangeScorer* active = nullptr;
   if (config_.sst_cascade) {
     detect::CascadeConfig cc = config_.cascade;
@@ -474,19 +473,6 @@ void FunnelOnline::finalize(changes::ChangeId id, bool timed_out) {
       // absent — the streaming detector never materializes them.
       if (journal_on) {
         journal->append(journal_event(change, mw.verdict, "online"));
-      }
-      if (config_.stats != nullptr) {
-        // Per-metric scorers live exactly as long as their watch and are
-        // never reset, so lifetime totals are this watch's totals.
-        const detect::IkaSst& scorer =
-            mw.gate != nullptr ? mw.gate->inner() : *mw.scorer;
-        if (scorer.cold_restarts() > 0) {
-          config_.stats->add("funnel.sst.cold_restarts",
-                             scorer.cold_restarts());
-        }
-        if (scorer.escalations() > 0) {
-          config_.stats->add("funnel.sst.escalations", scorer.escalations());
-        }
       }
     }
   }

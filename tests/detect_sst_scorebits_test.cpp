@@ -7,10 +7,9 @@
 // and says so in CHANGES.md.
 //
 // Tiers covered:
-//   * default   — IkaSst, warm future basis, per-direction Lanczos + QL;
-//   * warm_past — IkaSst with the past subspace persisted too;
-//   * cold      — default scorer reset() before every window;
-//   * cascade   — cascade_score_series in front of the default scorer.
+//   * default — IkaSst, warm future basis, per-direction Lanczos + QL;
+//   * cold    — default scorer reset() before every window;
+//   * cascade — cascade_score_series in front of the default scorer.
 //
 // The corpus is built from the src/workload KPI classes with level shifts,
 // ramps and transient spikes, then dirtied with NaN gaps, flat runs,
@@ -157,19 +156,16 @@ struct BitHash {
   }
 };
 
-enum class Tier { kDefault, kWarmPast, kCold, kCascade };
+enum class Tier { kDefault, kCold, kCascade };
 
 BitHash hash_tier(Tier tier, std::size_t omega) {
   const SstGeometry geo{.omega = omega, .eta = 3};
-  IkaParams params;
-  params.warm_past = tier == Tier::kWarmPast;
   BitHash hash;
   for (const std::vector<double>& series : corpus()) {
-    IkaSst scorer(geo, params);
+    IkaSst scorer(geo);
     std::vector<double> scores;
     switch (tier) {
       case Tier::kDefault:
-      case Tier::kWarmPast:
         scores = score_series(scorer, series);
         break;
       case Tier::kCold: {
@@ -203,9 +199,6 @@ constexpr Golden kGolden[] = {
     {Tier::kDefault, "default", 5, 0x3db35216e0cad620ull},
     {Tier::kDefault, "default", 9, 0x30b970278e5e8bdfull},
     {Tier::kDefault, "default", 15, 0xdb09e3544c09dab7ull},
-    {Tier::kWarmPast, "warm_past", 5, 0x7122d8dc68578846ull},
-    {Tier::kWarmPast, "warm_past", 9, 0x49df0b203a65d5aeull},
-    {Tier::kWarmPast, "warm_past", 15, 0xb13f33f6cd0c0356ull},
     {Tier::kCold, "cold", 5, 0x0a2add1594233ba8ull},
     {Tier::kCold, "cold", 9, 0x4c64dc3321050496ull},
     {Tier::kCold, "cold", 15, 0xb27ed918901029a7ull},
@@ -248,16 +241,12 @@ TEST(SstScoreBits, SteadyStateScoringMakesNoHeapAllocation) {
   const std::vector<std::vector<double>> series = corpus();
   for (std::size_t omega : {5u, 9u, 15u}) {
     const SstGeometry geo{.omega = omega, .eta = 3};
-    IkaParams fast;
-    fast.warm_past = true;
     IkaSst plain(geo);
-    IkaSst warm_past(geo, fast);
     IkaSst cold(geo);
     CascadeGate gate(std::make_unique<IkaSst>(geo), CascadeConfig{});
     const auto run_all = [&](const std::vector<double>& x) {
       const std::size_t w = geo.window();
       score_windows(x, w, [&](auto win) { return plain.score(win); });
-      score_windows(x, w, [&](auto win) { return warm_past.score(win); });
       score_windows(x, w, [&](auto win) {
         cold.reset();
         return cold.score(win);

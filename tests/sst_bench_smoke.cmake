@@ -1,7 +1,7 @@
 # Smoke check for the SST hot-path benchmark: runs bench/sst_hotpath in
 # --quick mode, then validates the BENCH_sst.json it emits — the file must
 # parse as JSON, carry the env header (sha, build type, nproc, CPU model,
-# date), every tier (cold/warm/fast/batch/cascaded) with us_per_window +
+# date), every tier (cold/warm/cascaded) with us_per_window +
 # allocs_per_window + cores_for_1m_kpis, the speedup and fidelity blocks,
 # and the headline acceptance number: cascaded_vs_cold speedup >= 5. The
 # default (warm) tier must make no heap allocation per window.
@@ -47,7 +47,7 @@ endforeach()
 
 # Every tier must report a positive us_per_window, its allocations per
 # window and a core count.
-foreach(tier cold warm fast batch cascaded)
+foreach(tier cold warm cascaded)
   string(JSON allocs ERROR_VARIABLE jerr GET "${json}" tiers ${tier} allocs_per_window)
   if(jerr)
     message(FATAL_ERROR "tiers.${tier}.allocs_per_window missing: ${jerr}")
@@ -66,15 +66,15 @@ foreach(tier cold warm fast batch cascaded)
 endforeach()
 
 # Speedup + fidelity blocks.
-foreach(key warm_vs_cold fast_vs_cold batch_vs_cold cascaded_vs_cold)
+foreach(key warm_vs_cold cascaded_vs_cold)
   string(JSON s ERROR_VARIABLE jerr GET "${json}" speedup ${key})
   if(jerr)
     message(FATAL_ERROR "speedup.${key} missing: ${jerr}")
   endif()
 endforeach()
-string(JSON corr ERROR_VARIABLE jerr GET "${json}" fidelity fast_vs_exact_corr)
+string(JSON corr ERROR_VARIABLE jerr GET "${json}" fidelity warm_vs_exact_corr)
 if(jerr)
-  message(FATAL_ERROR "fidelity.fast_vs_exact_corr missing: ${jerr}")
+  message(FATAL_ERROR "fidelity.warm_vs_exact_corr missing: ${jerr}")
 endif()
 
 # The default scorer works in its construction-time workspace.
@@ -93,4 +93,4 @@ if(cascaded_speedup LESS 5)
 endif()
 
 message(STATUS "sst_bench_smoke OK: cascaded_vs_cold=${cascaded_speedup}x, "
-               "fast_vs_exact_corr=${corr}")
+               "warm_vs_exact_corr=${corr}")
