@@ -6,6 +6,10 @@
 //   cold      reset() before every window — the naive per-window cost a
 //             stateless deployment would pay (30 power sweeps + Lanczos)
 //   warm      the default scorer: future basis warm-started across windows
+//   bounded   warm through score_against at the library-default alarm
+//             threshold 0.22, as every alarm path scores: windows whose
+//             Eq. 11 factor bounds the score at or below it skip the
+//             past-side Lanczos + QL
 //   cascaded  warm + pre-filter cascade (variance + raw-CUSUM gates),
 //             i.e. --cascade
 //
@@ -16,8 +20,9 @@
 // sha, build type, nproc, CPU model, date), per-tier µs/window, heap
 // allocations per window, derived million-KPI core counts, the speedups vs
 // cold, and the warm-vs-exact score correlation.
-// tests/sst_bench_smoke.cmake validates the JSON shape and asserts the
-// cascaded tier is ≥ 5x cheaper than cold.
+// tests/sst_bench_smoke.cmake validates the JSON shape, asserts the
+// cascaded tier is ≥ 5x cheaper than cold and that the warm and bounded
+// tiers make no heap allocation per window.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -166,7 +171,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
   }
-  bench::print_header("SST hot path: cold vs warm vs cascaded");
+  bench::print_header("SST hot path: cold vs warm vs bounded vs cascaded");
 
   const detect::SstGeometry g{.omega = 9, .eta = 3};
   const std::size_t len = 600;
@@ -195,10 +200,22 @@ int main(int argc, char** argv) {
     }
   };
 
+  constexpr double kThreshold = 0.22;  // library-default alarm threshold
+
+  // bounded: the default scorer as the alarm paths call it.
+  detect::IkaSst bound_scorer(g);
+  const auto bound_pass = [&] {
+    for (std::size_t i = 0; i < positions; ++i) {
+      volatile double s =
+          bound_scorer.score_against(span.subspan(i, w), kThreshold);
+      (void)s;
+    }
+  };
+
   // cascaded: the default scorer behind the pre-filter gates.
   detect::IkaSst casc_scorer(g);
   detect::CascadeConfig cc;
-  cc.sst_threshold = 0.22;  // library-default alarm threshold
+  cc.sst_threshold = kThreshold;
   detect::CascadeCounters counters;
   const auto casc_pass = [&] {
     casc_scorer.reset();
@@ -213,14 +230,16 @@ int main(int argc, char** argv) {
   // load on a shared host lands on all tiers alike; a tier's µs/window is
   // the median of its rounds.
   const int rounds = quick ? 5 : 7;
-  std::vector<double> r_cold, r_warm, r_casc;
+  std::vector<double> r_cold, r_warm, r_bound, r_casc;
   for (int r = 0; r < rounds; ++r) {
     r_cold.push_back(measure(positions, quick ? 600 : 2000, cold_pass));
     r_warm.push_back(measure(positions, min_windows, warm_pass));
+    r_bound.push_back(measure(positions, min_windows, bound_pass));
     r_casc.push_back(measure(positions, min_windows, casc_pass));
   }
   const double us_cold = median(r_cold);
   const double us_warm = median(r_warm);
+  const double us_bound = median(r_bound);
   const double us_casc = median(r_casc);
 
   // Heap allocations per window over one more pass of each (now warm)
@@ -228,6 +247,7 @@ int main(int argc, char** argv) {
   // output vector and gate scratch.
   const double allocs_cold = allocs_per_window(positions, cold_pass);
   const double allocs_warm = allocs_per_window(positions, warm_pass);
+  const double allocs_bound = allocs_per_window(positions, bound_pass);
   const double allocs_casc = allocs_per_window(positions, casc_pass);
 
   // Fidelity: warm scores vs the exact-SVD reference on this workload.
@@ -253,6 +273,7 @@ int main(int argc, char** argv) {
   };
   add("cold", us_cold, allocs_cold);
   add("warm (default)", us_warm, allocs_warm);
+  add("bounded (alarm path)", us_bound, allocs_bound);
   add("cascaded (--cascade)", us_casc, allocs_casc);
   std::printf("%s\n", t.to_string().c_str());
   std::printf("fidelity: corr(warm, exact SVD) = %.3f on the variable-class "
@@ -281,10 +302,13 @@ int main(int argc, char** argv) {
       "\"cores_for_1m_kpis\": %llu},\n"
       "    \"warm\": {\"us_per_window\": %.3f, \"allocs_per_window\": %.2f, "
       "\"cores_for_1m_kpis\": %llu},\n"
+      "    \"bounded\": {\"us_per_window\": %.3f, \"allocs_per_window\": "
+      "%.2f, \"cores_for_1m_kpis\": %llu, \"threshold\": %.2f},\n"
       "    \"cascaded\": {\"us_per_window\": %.3f, \"allocs_per_window\": "
       "%.2f, \"cores_for_1m_kpis\": %llu}\n"
       "  },\n"
-      "  \"speedup\": {\"warm_vs_cold\": %.2f, \"cascaded_vs_cold\": %.2f},\n"
+      "  \"speedup\": {\"warm_vs_cold\": %.2f, \"bounded_vs_cold\": %.2f, "
+      "\"cascaded_vs_cold\": %.2f},\n"
       "  \"cascade\": {\"suppressed_fraction\": %.4f},\n"
       "  \"fidelity\": {\"warm_vs_exact_corr\": %.4f}\n"
       "}\n",
@@ -292,9 +316,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_cold)),
       us_warm, allocs_warm,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_warm)),
-      us_casc, allocs_casc,
+      us_bound, allocs_bound,
+      static_cast<unsigned long long>(evalkit::cores_for_kpis(us_bound)),
+      kThreshold, us_casc, allocs_casc,
       static_cast<unsigned long long>(evalkit::cores_for_kpis(us_casc)),
-      us_cold / us_warm, us_cold / us_casc, suppressed_frac, corr);
+      us_cold / us_warm, us_cold / us_bound, us_cold / us_casc,
+      suppressed_frac, corr);
   out << buf;
   std::fprintf(stderr, "# wrote %s\n", json_path);
   return 0;

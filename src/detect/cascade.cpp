@@ -1,5 +1,6 @@
 #include "detect/cascade.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -48,9 +49,11 @@ GateDecision gate_window(std::span<const double> window,
   const std::span<const double> past = z.subspan(0, geometry.half());
   const std::span<const double> future =
       z.subspan(geometry.half(), geometry.half());
-  // Stage 0: the Eq. 11 factor upper-bounds the score (x̂ ≤ 1), so
-  // factor ≤ threshold proves no exceedance is possible here.
-  if (robust_score_factor(past, future, scratch.work) <=
+  // Stage 0: x̂ ≤ max(1, novelty_floor), so the Eq. 11 factor times that
+  // upper-bounds the score; a bound ≤ threshold proves no exceedance is
+  // possible here.
+  if (robust_score_factor(past, future, scratch.work) *
+          std::max(1.0, geometry.novelty_floor) <=
       config.sst_threshold) {
     return GateDecision::kVarianceSuppressed;
   }
@@ -114,7 +117,7 @@ std::vector<double> cascade_score_series(
         break;
       case GateDecision::kForcedByWow:
       case GateDecision::kScored:
-        score = scorer.score(window);
+        score = scorer.score_against(window, config.sst_threshold);
         break;
       default:
         score = std::numeric_limits<double>::quiet_NaN();
@@ -168,7 +171,7 @@ double CascadeGate::score(std::span<const double> window) {
       score = 0.0;
       break;
     default:
-      score = inner_->score(window);
+      score = inner_->score_against(window, config_.sst_threshold);
       break;
   }
   if (counters_) {

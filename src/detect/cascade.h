@@ -2,13 +2,16 @@
 // score, so the expensive Krylov work runs only on candidate windows.
 //
 // Stage 0 — variance gate (provably sound). The improved-SST score is
-//   score = x̂ · factor,  x̂ = max(weighted/total, novelty_floor) ≤ 1,
-// so the Eq. 11 damping factor `robust_score_factor` is a per-window upper
-// bound on the score. A window whose factor is already ≤ the alarm
-// threshold cannot produce an exceedance no matter what the subspace terms
-// do — suppressing it (score := 0) can never drop an alarm. The factor
-// costs two medians and two MADs, orders of magnitude less than the
-// eigen-iterations it replaces.
+//   score = x̂ · factor,  x̂ = max(weighted/total, novelty_floor)
+//                           ≤ max(1, novelty_floor),
+// so the Eq. 11 damping factor `robust_score_factor` times
+// max(1, novelty_floor) is a per-window upper bound on the score. A window
+// whose bound is already ≤ the alarm threshold cannot produce an
+// exceedance no matter what the subspace terms do — suppressing it
+// (score := 0) can never drop an alarm. The factor costs two medians and
+// two MADs, orders of magnitude less than the eigen-iterations it
+// replaces. (IkaSst::score_against applies the same bound after its future
+// sweep; the gate's gain over it is skipping that sweep as well.)
 //
 // Stage 1 — CUSUM gate (empirical, conservative). Windows that survive the
 // variance gate carry a super-threshold level difference; the raw two-sided
@@ -61,7 +64,7 @@ struct CascadeConfig {
 /// Per-window outcome of the cascade, in trace/provenance order.
 enum class GateDecision : std::uint8_t {
   kDirty = 0,               ///< non-finite samples: NaN, nothing ran
-  kVarianceSuppressed = 1,  ///< stage 0: factor ≤ threshold (sound)
+  kVarianceSuppressed = 1,  ///< stage 0: score bound ≤ threshold (sound)
   kCusumSuppressed = 2,     ///< stage 1: max-CUSUM below floor
   kForcedByWow = 3,         ///< gates said suppress, WoW overrode: scored
   kScored = 4,              ///< full IKA score ran
@@ -100,9 +103,10 @@ GateDecision gate_window(std::span<const double> window,
 /// Batch scoring with the cascade in front: same shape as score_series
 /// (out[i] = score of the window starting at sample i) but suppressed
 /// windows score 0.0 without touching the IKA scorer, dirty windows score
-/// NaN, and the WoW force gate can override a suppression when wow_season
-/// is set. Per-window decisions land in `decisions` (resized to match) and
-/// tallies in `counters`; either may be null.
+/// NaN, the WoW force gate can override a suppression when wow_season is
+/// set, and scored windows go through IkaSst::score_against at
+/// config.sst_threshold. Per-window decisions land in `decisions` (resized
+/// to match) and tallies in `counters`; either may be null.
 std::vector<double> cascade_score_series(IkaSst& scorer,
                                          std::span<const double> series,
                                          const CascadeConfig& config,

@@ -194,6 +194,15 @@ IkaSst::IkaSst(SstGeometry geometry) : geo_(geometry) {
 }
 
 double IkaSst::score(std::span<const double> window) {
+  return score_bounded(window, -std::numeric_limits<double>::infinity());
+}
+
+double IkaSst::score_against(std::span<const double> window,
+                             double threshold) {
+  return score_bounded(window, threshold);
+}
+
+double IkaSst::score_bounded(std::span<const double> window, double bound) {
   FUNNEL_REQUIRE(window.size() == geo_.window(),
                  "IkaSst window size mismatch");
   Workspace& ws = workspace_for(geo_);
@@ -220,13 +229,20 @@ double IkaSst::score(std::span<const double> window) {
                ws.lambdas, ws.ritz);
   warm_ = true;
 
-  // Exact zero-factor short-circuit. The score is x̂ · factor with x̂
-  // finite in [0, max(1, novelty_floor)], and the zero-weight branch below
-  // returns +0.0 as well, so a +0.0 factor scores +0.0 whatever the past
-  // subspace holds: the per-direction Lanczos + QL work is skipped. The
-  // future sweep above has run, so the warm basis still advances. `==`
-  // (not `!(factor > 0)`) keeps a NaN factor on the full path.
-  if (factor == 0.0) return 0.0;
+  // Exact alarm bound. The score is x̂ · factor with x̂ in
+  // [0, max(1, novelty_floor)]: every φᵢ is clamped to [0, 1], so
+  // Σλφ <= Σλ and weighted / total_weight <= 1 (rounding is monotone).
+  // A window with factor · max(1, novelty_floor) <= bound therefore
+  // scores <= bound, and the per-direction Lanczos + QL work is skipped.
+  // The future sweep above has run, so the warm basis still advances.
+  // A +0.0 factor scores +0.0 on the full path too (x̂ is finite and the
+  // zero-weight branch returns +0.0), so score() skips it as well: its
+  // bound is -inf, and 0.0 <= -inf fails, hence the second test. A NaN
+  // factor fails both and takes the full path.
+  if (factor == 0.0 ||
+      factor * std::max(1.0, geo_.novelty_floor) <= bound) {
+    return 0.0;
+  }
 
   // --- Past: phi_i per future direction. ---
   ws.past_op.set_window(past);

@@ -37,6 +37,11 @@ class IkaSst final : public ChangeScorer {
   std::size_t window_size() const override { return geo_.window(); }
   std::size_t change_offset() const override { return geo_.half(); }
   double score(std::span<const double> window) override;
+  /// Skips the past-side Lanczos + QL on a window whose Eq. 11 factor
+  /// bounds its score at or below `threshold` (returns +0.0 there); the
+  /// warm future basis advances exactly as under score().
+  double score_against(std::span<const double> window,
+                       double threshold) override;
   const char* name() const override { return "funnel-ika-sst"; }
 
   const SstGeometry& geometry() const { return geo_; }
@@ -48,6 +53,10 @@ class IkaSst final : public ChangeScorer {
   void reset() { warm_ = false; }
 
  private:
+  /// Shared body of score() (bound = -inf: nothing is skipped) and
+  /// score_against() (bound = the alarm threshold).
+  double score_bounded(std::span<const double> window, double bound);
+
   SstGeometry geo_;
   linalg::Matrix future_basis_;  ///< omega x eta, persisted across windows
   bool warm_ = false;

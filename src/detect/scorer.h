@@ -30,6 +30,18 @@ class ChangeScorer {
   /// Scorers may keep internal scratch state, hence non-const.
   virtual double score(std::span<const double> window) = 0;
 
+  /// The score as an alarm path needs it: whether it exceeds `threshold`.
+  /// When score(window) is NaN or > threshold this returns exactly that
+  /// value, bit for bit; otherwise it may return any value <= threshold,
+  /// which lets a scorer skip work on windows that provably cannot alarm.
+  /// Scorer state advances exactly as a score(window) call would advance
+  /// it. Readers of raw scores (threshold sweeps, score dumps) call
+  /// score() instead.
+  virtual double score_against(std::span<const double> window,
+                               double /*threshold*/) {
+    return score(window);
+  }
+
   virtual const char* name() const = 0;
 };
 

@@ -7,16 +7,38 @@
 
 namespace funnel::detect {
 
-std::vector<double> score_series(ChangeScorer& scorer,
-                                 std::span<const double> series) {
-  const std::size_t w = scorer.window_size();
+namespace {
+
+template <typename ScoreFn>
+std::vector<double> score_windows(std::size_t w,
+                                  std::span<const double> series,
+                                  ScoreFn&& score) {
   std::vector<double> out;
   if (series.size() < w) return out;
   out.reserve(series.size() - w + 1);
   for (std::size_t i = 0; i + w <= series.size(); ++i) {
-    out.push_back(scorer.score(series.subspan(i, w)));
+    out.push_back(score(series.subspan(i, w)));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<double> score_series(ChangeScorer& scorer,
+                                 std::span<const double> series) {
+  return score_windows(scorer.window_size(), series,
+                       [&](std::span<const double> window) {
+                         return scorer.score(window);
+                       });
+}
+
+std::vector<double> score_series(ChangeScorer& scorer,
+                                 std::span<const double> series,
+                                 double threshold) {
+  return score_windows(scorer.window_size(), series,
+                       [&](std::span<const double> window) {
+                         return scorer.score_against(window, threshold);
+                       });
 }
 
 namespace {
@@ -134,7 +156,8 @@ std::optional<Alarm> detect_first(ChangeScorer& scorer,
                                   std::span<const double> series,
                                   MinuteTime series_start,
                                   const AlarmPolicy& policy) {
-  const std::vector<double> scores = score_series(scorer, series);
+  const std::vector<double> scores =
+      score_series(scorer, series, policy.threshold);
   return first_alarm(scores, scorer.window_size(), series_start, policy);
 }
 
@@ -154,7 +177,7 @@ std::optional<Alarm> OnlineDetector::push(double value) {
   if (buffer_.size() > w) buffer_.erase(buffer_.begin());
   if (alarmed_ || buffer_.size() < w) return std::nullopt;
 
-  const double s = scorer_.score(buffer_);
+  const double s = scorer_.score_against(buffer_, policy_.threshold);
   const std::size_t i = windows_scored_++;
   const bool hit = std::isfinite(s) && s > policy_.threshold;
   if (hit) hits_.push_back({i, s});

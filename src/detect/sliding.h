@@ -40,6 +40,15 @@ namespace funnel::detect {
 std::vector<double> score_series(ChangeScorer& scorer,
                                  std::span<const double> series);
 
+/// The alarm path's form of the above: every window is scored through
+/// ChangeScorer::score_against(window, threshold), so out[i] equals the raw
+/// score wherever that is NaN or exceeds `threshold` and is only known to
+/// be <= threshold elsewhere. Alarms computed from it at that threshold
+/// are identical to those from the raw scores.
+std::vector<double> score_series(ChangeScorer& scorer,
+                                 std::span<const double> series,
+                                 double threshold);
+
 struct AlarmPolicy {
   double threshold = 0.5;
   /// Exceedances required before alarming (the 7-minute rule).
@@ -90,7 +99,8 @@ std::vector<Alarm> all_alarms(std::span<const double> scores,
 std::vector<Alarm> alarm_episodes(std::span<const Alarm> alarms,
                                   MinuteTime gap);
 
-/// Convenience: run the scorer and return the first alarm.
+/// Convenience: run the scorer (bounded at the policy threshold) and
+/// return the first alarm.
 std::optional<Alarm> detect_first(ChangeScorer& scorer,
                                   std::span<const double> series,
                                   MinuteTime series_start,
@@ -98,7 +108,8 @@ std::optional<Alarm> detect_first(ChangeScorer& scorer,
 
 /// Online wrapper: feed samples one at a time; fires at most one alarm.
 /// Mirrors exactly what the batch path computes, enabling the streaming
-/// FUNNEL deployment (§5).
+/// FUNNEL deployment (§5). Windows are scored through score_against() at
+/// the policy threshold.
 class OnlineDetector {
  public:
   OnlineDetector(ChangeScorer& scorer, AlarmPolicy policy,
@@ -110,6 +121,9 @@ class OnlineDetector {
 
   bool alarmed() const { return alarmed_; }
   MinuteTime next_minute() const { return next_minute_; }
+  /// Windows scored so far (a push scores one once the window is full,
+  /// unless an alarm is latched).
+  std::size_t windows_scored() const { return windows_scored_; }
 
   /// Clear a latched alarm so detection continues (used when an alarm turns
   /// out to predate the software change and must be discarded).

@@ -29,7 +29,8 @@ void mark_inconclusive(ItemVerdict& verdict, InconclusiveReason reason) {
 // exposing the factor separates "how novel was the trajectory" from "how
 // hard was it damped" — exactly what an operator asks when challenging a
 // verdict. Side channel only (trace attrs + journal events); never feeds
-// back into scores.
+// back into scores. The scores are bounded at the alarm threshold, but the
+// peak exceeds it, so its exact value is there to be found.
 double peak_damp_factor(const detect::SstGeometry& geometry,
                         const detect::Alarm& alarm,
                         const std::vector<double>& slice,
@@ -72,6 +73,17 @@ void emit_batch_event(const obs::Journal* journal,
 }
 
 }  // namespace
+
+void record_cascade_counters(const obs::Registry& stats,
+                             const detect::CascadeCounters& counters) {
+  stats.add("funnel.cascade.windows", counters.windows);
+  stats.add("funnel.cascade.scored", counters.scored);
+  stats.add("funnel.cascade.suppressed_variance",
+            counters.suppressed_variance);
+  stats.add("funnel.cascade.suppressed_cusum", counters.suppressed_cusum);
+  stats.add("funnel.cascade.wow_forced", counters.wow_forced);
+  stats.add("funnel.cascade.dirty", counters.dirty);
+}
 
 Funnel::Funnel(FunnelConfig config, const topology::ServiceTopology& topo,
                const changes::ChangeLog& log, const tsdb::MetricStore& store)
@@ -266,14 +278,7 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
           scorer, slice, cc, &counters,
           (trace_span.active() || journal_on) ? &decisions : nullptr);
       if (config_.stats != nullptr) {
-        config_.stats->add("funnel.cascade.windows", counters.windows);
-        config_.stats->add("funnel.cascade.scored", counters.scored);
-        config_.stats->add("funnel.cascade.suppressed_variance",
-                           counters.suppressed_variance);
-        config_.stats->add("funnel.cascade.suppressed_cusum",
-                           counters.suppressed_cusum);
-        config_.stats->add("funnel.cascade.wow_forced", counters.wow_forced);
-        config_.stats->add("funnel.cascade.dirty", counters.dirty);
+        record_cascade_counters(*config_.stats, counters);
       }
       if (trace_span.active()) {
         trace_span.attr("cascade.windows", counters.windows);
@@ -286,7 +291,9 @@ ItemVerdict Funnel::assess_metric_with(detect::IkaSst& scorer,
         trace_span.attr("cascade.dirty", counters.dirty);
       }
     } else {
-      scores = detect::score_series(scorer, slice);
+      // Bounded at the alarm threshold: windows that cannot exceed it skip
+      // the past-side Krylov work; exceedances keep their exact scores.
+      scores = detect::score_series(scorer, slice, config_.alarm.threshold);
     }
     alarms = detect::all_alarms(scores, scorer.window_size(), t0,
                                 config_.alarm);

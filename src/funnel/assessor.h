@@ -23,6 +23,7 @@
 
 namespace funnel::detect {
 class IkaSst;
+struct CascadeCounters;
 }  // namespace funnel::detect
 
 namespace funnel::obs {
@@ -30,6 +31,11 @@ class Span;
 }  // namespace funnel::obs
 
 namespace funnel::core {
+
+/// Add the tallies of cascade-gated windows to the funnel.cascade.*
+/// counters; the batch and online assessors both publish through it.
+void record_cascade_counters(const obs::Registry& stats,
+                             const detect::CascadeCounters& counters);
 
 /// Batch assessment engine. With config.num_threads != 1 the two hot
 /// fan-outs run on a fixed-size ThreadPool: assess() scores each impact-set

@@ -1,6 +1,7 @@
 #include "funnel/online.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -169,6 +170,7 @@ void FunnelOnline::watch_impl(changes::ChangeId id) {
     prime_span.attr("watch.kpis", watch.metrics.size());
   }
   watches_.emplace(id, std::move(watch));
+  publish_cascade_counters();
   if (config_.stats != nullptr) {
     config_.stats->add("funnel.online.watches_started");
     config_.stats->set("funnel.online.active_watches",
@@ -188,7 +190,8 @@ FunnelOnline::MetricWatch FunnelOnline::make_metric_watch(
   if (config_.sst_cascade) {
     detect::CascadeConfig cc = config_.cascade;
     cc.sst_threshold = config_.alarm.threshold;
-    mw.gate = std::make_unique<detect::CascadeGate>(std::move(scorer), cc);
+    mw.gate = std::make_unique<detect::CascadeGate>(std::move(scorer), cc,
+                                                    &cascade_counters_);
     active = mw.gate.get();
   } else {
     mw.scorer = std::move(scorer);
@@ -214,7 +217,23 @@ void FunnelOnline::feed_detector(const changes::SoftwareChange& change,
                                  MetricWatch& mw, double value) {
   if (record_feed_) mw.fed.push_back(value);
   mw.quality.on_sample(value);
-  const auto alarm = mw.detector->push(value);
+  std::optional<detect::Alarm> alarm;
+  if (!obs::kEnabled || config_.stats == nullptr) {
+    alarm = mw.detector->push(value);
+  } else {
+    // Online SST time per scored window; pushes that score nothing (short
+    // or latched detector) are not observed.
+    const std::size_t scored = mw.detector->windows_scored();
+    const auto start = std::chrono::steady_clock::now();
+    alarm = mw.detector->push(value);
+    if (mw.detector->windows_scored() != scored) {
+      config_.stats->observe(
+          "funnel.online.sst_us",
+          std::chrono::duration<double, std::micro>(
+              std::chrono::steady_clock::now() - start)
+              .count());
+    }
+  }
   if (!alarm) return;
   if (alarm->minute < change.time) {
     mw.detector->rearm();
@@ -278,7 +297,16 @@ void FunnelOnline::handle_sample(const tsdb::MetricId& id, MinuteTime t,
       }
     }
   }
+  publish_cascade_counters();
   for (changes::ChangeId cid : finished) finalize(cid);
+}
+
+void FunnelOnline::publish_cascade_counters() {
+  if (cascade_counters_.windows == 0) return;
+  if (config_.stats != nullptr) {
+    record_cascade_counters(*config_.stats, cascade_counters_);
+  }
+  cascade_counters_ = {};
 }
 
 std::size_t FunnelOnline::expire(MinuteTime now) {
@@ -575,6 +603,7 @@ void FunnelOnline::restore_state(const std::string& blob) {
     watches_.emplace(cid, std::move(watch));
   }
   if (!r.ok() || r.remaining() != 0) throw corrupt();
+  publish_cascade_counters();
   if (config_.stats != nullptr && !watches_.empty()) {
     config_.stats->set("funnel.online.active_watches",
                        static_cast<double>(watches_.size()));

@@ -191,6 +191,8 @@ class FunnelOnline {
   /// Otherwise records the first series still behind in mw.did_blocker.
   bool did_inputs_complete(const ChangeWatch& watch, MetricWatch& mw) const;
   void finalize(changes::ChangeId id, bool timed_out = false);
+  /// Move the online gates' tallies into the funnel.cascade.* counters.
+  void publish_cascade_counters();
 
   /// Stamp the confirming minute on the verdict and record the online
   /// verdict counters + time-to-verdict (the paper's rapidity metric).
@@ -204,6 +206,8 @@ class FunnelOnline {
   Funnel batch_;  ///< reuses the Fig. 3 determination logic
 
   std::map<changes::ChangeId, ChangeWatch> watches_;
+  /// Tallies of every online CascadeGate not yet published to stats.
+  detect::CascadeCounters cascade_counters_;
   bool record_feed_ = false;  ///< store is persistent: keep MetricWatch::fed
   /// Some determination waits for its DiD inputs: re-check on each sample.
   bool awaiting_inputs_ = false;

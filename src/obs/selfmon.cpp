@@ -171,7 +171,7 @@ SelfMonitor::SelfMonitor(const Registry* watched, SelfMonitorOptions options)
           "");
   add_kpi("journal_queue_frac", Kpi::Kind::kQueueFrac,
           "funnel.journal.queue_depth", "funnel.journal.queue_capacity");
-  add_kpi("sst_us", Kpi::Kind::kHistDeltaMean, "funnel.assess.sst_us", "");
+  add_kpi("sst_us", Kpi::Kind::kHistDeltaMean, "funnel.online.sst_us", "");
   add_kpi("time_to_verdict_min", Kpi::Kind::kHistDeltaMean,
           "funnel.online.time_to_verdict_min", "");
 

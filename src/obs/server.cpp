@@ -167,6 +167,14 @@ bool parse_request_line(const std::string& head, HttpRequest* req) {
   return !req->path.empty() && req->path[0] == '/';
 }
 
+// A plain-text status response (the default content type, no headers).
+HttpResponse plain_response(int status, std::string body) {
+  HttpResponse r;
+  r.status = status;
+  r.body = std::move(body);
+  return r;
+}
+
 }  // namespace
 
 struct HttpServer::Impl {
@@ -259,10 +267,10 @@ struct HttpServer::Impl {
         ::close(fd);
         return;
       }
-      resp = {400, "text/plain; charset=utf-8", "bad request\n"};
+      resp = plain_response(400, "bad request\n");
     } else if (req.method != "GET" && req.method != "HEAD" &&
                req.method != "POST") {
-      resp = {405, "text/plain; charset=utf-8", "method not allowed\n"};
+      resp = plain_response(405, "method not allowed\n");
     } else {
       head_only = req.method == "HEAD";
       // Route before body: 404/405 never depend on (or wait for) a
@@ -271,26 +279,23 @@ struct HttpServer::Impl {
       bool path_known = false;
       handler = find_handler(req.path, req.method == "POST", &path_known);
       if (handler == nullptr) {
-        resp = path_known
-                   ? HttpResponse{405, "text/plain; charset=utf-8",
-                                  "method not allowed\n"}
-                   : HttpResponse{404, "text/plain; charset=utf-8",
-                                  "not found\n"};
+        resp = path_known ? plain_response(405, "method not allowed\n")
+                          : plain_response(404, "not found\n");
       } else {
         // Body: Content-Length-bounded. 411 on a POST that declares none,
         // 413 past max_body_bytes (the payload is never read), 400 on a
         // malformed length or a body cut short.
         std::optional<std::size_t> content_length;
         if (!parse_content_length(buf, head_end, &content_length)) {
-          resp = {400, "text/plain; charset=utf-8", "bad content-length\n"};
+          resp = plain_response(400, "bad content-length\n");
         } else if (req.method == "POST" && !content_length.has_value()) {
-          resp = {411, "text/plain; charset=utf-8", "length required\n"};
+          resp = plain_response(411, "length required\n");
         } else if (content_length.value_or(0) > options.max_body_bytes) {
-          resp = {413, "text/plain; charset=utf-8", "payload too large\n"};
+          resp = plain_response(413, "payload too large\n");
         } else {
           req.body = buf.substr(head_end);
           if (!read_request_body(fd, content_length.value_or(0), &req.body)) {
-            resp = {400, "text/plain; charset=utf-8", "incomplete body\n"};
+            resp = plain_response(400, "incomplete body\n");
           } else {
             parsed = true;
           }
@@ -301,10 +306,10 @@ struct HttpServer::Impl {
       try {
         resp = (*handler)(req);
       } catch (const std::exception& e) {
-        resp = {500, "text/plain; charset=utf-8",
-                std::string("handler error: ") + e.what() + "\n"};
+        resp = plain_response(500, std::string("handler error: ") + e.what() +
+                                       "\n");
       } catch (...) {
-        resp = {500, "text/plain; charset=utf-8", "handler error\n"};
+        resp = plain_response(500, "handler error\n");
       }
     }
     write_response(fd, resp, head_only);
@@ -351,8 +356,7 @@ struct HttpServer::Impl {
       if (shed) {
         // Load-shed from the accept thread: a scrape storm gets 503s, the
         // worker queue stays bounded.
-        write_response(fd, {503, "text/plain; charset=utf-8", "overloaded\n"},
-                       false);
+        write_response(fd, plain_response(503, "overloaded\n"), false);
         ::close(fd);
         account(503, 0.0);
       } else {

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,13 +32,6 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "funnel_journal_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 std::vector<std::string> sorted_lines(const std::string& path) {

@@ -2,8 +2,10 @@
 // and the online engine record must agree with the reports they produce,
 // reports must stay byte-identical with telemetry on or off (and for every
 // thread count), the online engine must stamp `determined_at` and record
-// time-to-verdict, and the default-on registry must cost < 2% on
-// assess_window versus running with a null registry.
+// time-to-verdict, per-window SST time (which the selfmon `sst_us` KPI
+// reads) and its cascade gates' funnel.cascade.* counters, and the
+// default-on registry must cost < 2% on assess_window versus running with
+// a null registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "funnel/online.h"
 #include "funnel/report_json.h"
 #include "obs/registry.h"
+#include "obs/selfmon.h"
 #include "workload/generators.h"
 #include "workload/stream.h"
 
@@ -157,10 +160,11 @@ struct OnlineScenario {
     }
   }
 
-  AssessmentReport run(const obs::Registry* reg) {
+  AssessmentReport run(const obs::Registry* reg, bool cascade = false) {
     FunnelConfig cfg;
     cfg.baseline_days = 3;
     cfg.stats = reg;
+    cfg.sst_cascade = cascade;
     FunnelOnline online(cfg, topo, log, store);
     AssessmentReport report;
     online.on_report([&](const AssessmentReport& r) { report = r; });
@@ -210,6 +214,52 @@ TEST(FunnelStatsOnline, TimeToVerdictHistogramMatchesReport) {
   EXPECT_EQ(snap.counters.at("funnel.online.reports_finalized"), 1u);
   EXPECT_GT(snap.counters.at("funnel.online.samples_ingested"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("funnel.online.active_watches"), 0.0);
+}
+
+TEST(FunnelStatsOnline, CascadeCountersPublishedFromOnlineGates) {
+  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
+  OnlineScenario sc;
+  obs::Registry reg;
+  const AssessmentReport report = sc.run(&reg, /*cascade=*/true);
+  ASSERT_GE(report.kpi_changes_caused(), 2u);
+
+  const obs::Snapshot snap = reg.snapshot();
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t windows = counter("funnel.cascade.windows");
+  EXPECT_GT(windows, 0u);
+  EXPECT_GT(counter("funnel.cascade.scored"), 0u);
+  EXPECT_GT(counter("funnel.cascade.suppressed_variance"), 0u);
+  EXPECT_EQ(windows, counter("funnel.cascade.scored") +
+                         counter("funnel.cascade.suppressed_variance") +
+                         counter("funnel.cascade.suppressed_cusum") +
+                         counter("funnel.cascade.dirty"));
+  // Every window a gate saw was one detector push that scored: the online
+  // SST timer observes exactly those.
+  EXPECT_EQ(snap.histograms.at("funnel.online.sst_us").count, windows);
+}
+
+TEST(FunnelStatsOnline, SstTimeFeedsTheSelfmonKpi) {
+  if (!obs::kEnabled) GTEST_SKIP() << "FUNNEL_OBS=OFF";
+  OnlineScenario sc;
+  obs::Registry reg;
+  obs::SelfMonitor selfmon(&reg);
+  selfmon.tick();
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("funnel.selfmon.sst_us"), 0.0);
+
+  sc.run(&reg);
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::HistogramSnapshot& sst =
+      snap.histograms.at("funnel.online.sst_us");
+  EXPECT_GT(sst.count, 0u);
+  EXPECT_GT(sst.sum, 0.0);
+  // An online-only process never writes the batch timer.
+  EXPECT_EQ(snap.histograms.count("funnel.assess.sst_us"), 0u);
+
+  selfmon.tick();
+  EXPECT_GT(reg.snapshot().gauges.at("funnel.selfmon.sst_us"), 0.0);
 }
 
 TEST_F(FunnelStats, DefaultOnOverheadUnderTwoPercent) {

@@ -1,10 +1,11 @@
 # Smoke check for the SST hot-path benchmark: runs bench/sst_hotpath in
 # --quick mode, then validates the BENCH_sst.json it emits — the file must
 # parse as JSON, carry the env header (sha, build type, nproc, CPU model,
-# date), every tier (cold/warm/cascaded) with us_per_window +
+# date), every tier (cold/warm/bounded/cascaded) with us_per_window +
 # allocs_per_window + cores_for_1m_kpis, the speedup and fidelity blocks,
 # and the headline acceptance number: cascaded_vs_cold speedup >= 5. The
-# default (warm) tier must make no heap allocation per window.
+# default (warm) tier and the bounded tier (the default scorer through the
+# alarm path's score_against) must make no heap allocation per window.
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<sst_hotpath> -DWORK_DIR=<scratch dir> -P sst_bench_smoke.cmake
@@ -47,7 +48,7 @@ endforeach()
 
 # Every tier must report a positive us_per_window, its allocations per
 # window and a core count.
-foreach(tier cold warm cascaded)
+foreach(tier cold warm bounded cascaded)
   string(JSON allocs ERROR_VARIABLE jerr GET "${json}" tiers ${tier} allocs_per_window)
   if(jerr)
     message(FATAL_ERROR "tiers.${tier}.allocs_per_window missing: ${jerr}")
@@ -66,7 +67,7 @@ foreach(tier cold warm cascaded)
 endforeach()
 
 # Speedup + fidelity blocks.
-foreach(key warm_vs_cold cascaded_vs_cold)
+foreach(key warm_vs_cold bounded_vs_cold cascaded_vs_cold)
   string(JSON s ERROR_VARIABLE jerr GET "${json}" speedup ${key})
   if(jerr)
     message(FATAL_ERROR "speedup.${key} missing: ${jerr}")
@@ -77,12 +78,15 @@ if(jerr)
   message(FATAL_ERROR "fidelity.warm_vs_exact_corr missing: ${jerr}")
 endif()
 
-# The default scorer works in its construction-time workspace.
-string(JSON warm_allocs GET "${json}" tiers warm allocs_per_window)
-if(NOT warm_allocs EQUAL 0)
-  message(FATAL_ERROR
-    "warm tier makes ${warm_allocs} heap allocations per window, expected 0")
-endif()
+# The default scorer works in its per-thread workspace, on the bounded
+# alarm path too.
+foreach(tier warm bounded)
+  string(JSON allocs GET "${json}" tiers ${tier} allocs_per_window)
+  if(NOT allocs EQUAL 0)
+    message(FATAL_ERROR
+      "${tier} tier makes ${allocs} heap allocations per window, expected 0")
+  endif()
+endforeach()
 
 # The acceptance bar: the cascaded hot path is at least 5x cheaper per
 # window than cold restarts on the Table 2 workload.

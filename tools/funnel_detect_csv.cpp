@@ -312,8 +312,10 @@ FileResult score_file(const std::string& path, const Options& opt) {
     scores =
         detect::cascade_score_series(*ika, series.values(), cc, nullptr,
                                      nullptr);
+  } else if (opt.print_scores) {
+    scores = detect::score_series(*scorer, series.values());  // raw scores
   } else {
-    scores = detect::score_series(*scorer, series.values());
+    scores = detect::score_series(*scorer, series.values(), threshold);
   }
   if (scores.empty()) {
     res.err = "series too short: " + std::to_string(series.size()) +
@@ -543,7 +545,8 @@ void declare_core_keys(const obs::Registry& reg) {
   }
   for (const char* h :
        {"funnel.assess.sst_us", "funnel.assess.did_us",
-        "funnel.assess.total_us", "funnel.online.time_to_verdict_min",
+        "funnel.assess.total_us", "funnel.online.sst_us",
+        "funnel.online.time_to_verdict_min",
         "pool.queue_wait_us", "csv.process_us", "funnel.wal.commit_us"}) {
     reg.declare_histogram(h);
   }
